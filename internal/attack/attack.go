@@ -208,7 +208,6 @@ func (a *Replayer) HandleMessage(p *packet.Packet) {
 		return
 	}
 	a.scheduled++
-	cp := p.Clone()
 	delay := a.Delay
 	if a.Jitter > 0 {
 		delay += sim.Duration(a.rand().Int63n(int64(a.Jitter)))
@@ -217,7 +216,8 @@ func (a *Replayer) HandleMessage(p *packet.Packet) {
 		if !a.dev.Alive() {
 			return
 		}
-		rep := cp.Clone()
+		// The captured p is read-only, so it is still verbatim here.
+		rep := p.Forward()
 		rep.From = a.dev.ID() // link-layer sender is the attacker's radio
 		if a.dev.Send(rep) {
 			noteInject(a.dev, a.Metrics, &a.Counters, rep, "replay")
@@ -481,7 +481,7 @@ func (e *wormholeEnd) HandleMessage(p *packet.Packet) {
 		// Tunnel instantly (out-of-band link) and replay at the far end,
 		// preserving the packet contents verbatim: the path now implies
 		// that nodes around end A are one hop from nodes around end B.
-		cp := p.Clone()
+		cp := p.Forward()
 		cp.From = e.peer.dev.ID()
 		if p.Kind == packet.KindRRes {
 			// Deliver the tunneled response straight to its final target,

@@ -106,7 +106,7 @@ func (f *Flooding) HandleMessage(pkt *packet.Packet) {
 	if f.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = f.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
@@ -155,16 +155,16 @@ func (g *Gossiping) OriginateData(payload []byte) {
 	g.relay(pkt)
 }
 
+// relay addresses pkt, a packet this node owns and has not yet sent, to a
+// random neighbor and transmits it.
 func (g *Gossiping) relay(pkt *packet.Packet) {
 	nbrs := g.dev.SensorNeighbors()
 	if len(nbrs) == 0 {
 		return
 	}
-	next := nbrs[g.dev.World().Kernel().Rand().Intn(len(nbrs))]
-	fwd := pkt.Clone()
-	fwd.From = g.dev.ID()
-	fwd.To = next
-	if g.dev.Send(fwd) {
+	pkt.From = g.dev.ID()
+	pkt.To = nbrs[g.dev.World().Kernel().Rand().Intn(len(nbrs))]
+	if g.dev.Send(pkt) {
 		g.Metrics.Inc(metrics.DataSent)
 	}
 }
@@ -180,7 +180,7 @@ func (g *Gossiping) HandleMessage(pkt *packet.Packet) {
 	if g.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.TTL--
 	fwd.Hops++
 	g.relay(fwd)
@@ -311,7 +311,7 @@ func (m *MCFA) HandleMessage(pkt *packet.Packet) {
 		}
 		if m.cost < 0 || c+1 < m.cost {
 			m.cost = c + 1
-			adv := pkt.Clone()
+			adv := pkt.Forward()
 			adv.From = m.dev.ID()
 			adv.Payload = mcfaCostPayload(m.cost)
 			adv.Hops++
@@ -330,7 +330,7 @@ func (m *MCFA) HandleMessage(pkt *packet.Packet) {
 		if m.seen.Check(pkt.Origin, pkt.Seq) {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = m.dev.ID()
 		fwd.TTL--
 		fwd.Hops++

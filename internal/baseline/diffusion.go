@@ -173,7 +173,7 @@ func (d *Diffusion) handleInterest(pkt *packet.Packet) {
 	if pkt.TTL <= 1 || d.seen.Check(pkt.Origin, pkt.Seq) {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = d.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
@@ -206,7 +206,7 @@ func (d *Diffusion) handleData(pkt *packet.Packet) {
 			if g == pkt.From {
 				continue
 			}
-			fwd := pkt.Clone()
+			fwd := pkt.Forward()
 			fwd.From = d.dev.ID()
 			fwd.To = g
 			fwd.Target = g
@@ -221,7 +221,7 @@ func (d *Diffusion) handleData(pkt *packet.Packet) {
 		if st.reinforced == packet.None || pkt.TTL <= 1 {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = d.dev.ID()
 		fwd.To = st.reinforced
 		fwd.Target = st.reinforced
@@ -247,7 +247,7 @@ func (d *Diffusion) handleReinforce(pkt *packet.Packet) {
 	if st.upstream == packet.None || st.upstream == pkt.From {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = d.dev.ID()
 	fwd.To = st.upstream
 	fwd.Target = st.upstream

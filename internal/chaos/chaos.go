@@ -191,7 +191,13 @@ func DumpTail(dir string, seed int64, rec *obs.Recorder) (string, error) {
 // Soak runs the randomized trials and checks every invariant after each.
 // It returns the per-trial summaries and the first violation, tagged with
 // the trial seed that reproduces it.
-func Soak(o Options) ([]Trial, error) {
+func Soak(o Options) ([]Trial, error) { return soak(o, nil) }
+
+// soak is Soak with an optional extra check per trial: arm, when non-nil,
+// instruments each trial's config before the build and returns a check
+// that runs after the drain; its error fails the trial like a violated
+// invariant.
+func soak(o Options, arm func(cfg *scenario.Config) func() error) ([]Trial, error) {
 	o = o.withDefaults()
 	trials := make([]Trial, 0, o.Trials)
 	for i := 0; i < o.Trials; i++ {
@@ -203,6 +209,10 @@ func Soak(o Options) ([]Trial, error) {
 			rec = obs.NewRecorder(o.RecorderCap)
 			cfg.Obs = obs.NewBus(rec)
 		}
+		check := func() error { return nil }
+		if arm != nil {
+			check = arm(&cfg)
+		}
 		n, err := scenario.BuildE(cfg)
 		if err != nil {
 			return trials, fmt.Errorf("chaos: trial seed %d: %w", seed, err)
@@ -212,7 +222,7 @@ func Soak(o Options) ([]Trial, error) {
 		n.StopTraffic()
 		n.World.Run(cfg.RunFor + o.Grace)
 		res := n.Summarize()
-		if err := CheckInvariants(n); err != nil {
+		if err := errors.Join(CheckInvariants(n), check()); err != nil {
 			if rec != nil {
 				if path, derr := DumpTail(o.ArtifactDir, seed, rec); derr != nil {
 					err = errors.Join(err, fmt.Errorf("chaos: dumping recorder tail: %w", derr))

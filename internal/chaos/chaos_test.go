@@ -22,11 +22,12 @@ var (
 )
 
 // TestSoak is the chaos gate: seeded randomized fault plans on lossy media
-// with link ARQ armed, every structural invariant checked after each trial.
-// CI runs it under -race via `make soak`.
+// with link ARQ armed, every structural invariant checked after each trial,
+// and every delivered packet held to the read-only contract by the freeze
+// check. CI runs it under -race via `make soak` and `make race`.
 func TestSoak(t *testing.T) {
-	trials, err := Soak(Options{Seed: 20260806, Trials: *soakTrials, Log: t.Logf,
-		ArtifactDir: *soakArtifacts})
+	trials, err := soak(Options{Seed: 20260806, Trials: *soakTrials, Log: t.Logf,
+		ArtifactDir: *soakArtifacts}, armFreeze(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,14 @@ func TestSoak(t *testing.T) {
 // TestSoakSharded runs the same randomized fault plans region-sharded
 // (Config.Shards > 1): concurrent region workers, staged deaths, outbox
 // adoption — under the full invariant battery, with link ARQ armed and
-// deaths landing mid-window. Sharded trials must also be deterministic
-// functions of their seed, or no violation they find is replayable.
+// deaths landing mid-window — and under the freeze check, whose packets
+// cross region workers. Sharded trials must also be deterministic
+// functions of their seed, or no violation they find is replayable; the
+// replay runs without the freeze check, so the check is also shown not to
+// perturb a trial.
 func TestSoakSharded(t *testing.T) {
 	opt := Options{Seed: 20260807, Trials: 4, RunFor: 40 * sim.Second, Shards: 3, Log: t.Logf}
-	trials, err := Soak(opt)
+	trials, err := soak(opt, armFreeze(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

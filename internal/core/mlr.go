@@ -415,7 +415,7 @@ func (s *MLRSensor) redirectData(pkt *packet.Packet, body []byte, decTTL bool) b
 	if to == r.Gateway {
 		to = gw
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = to
 	fwd.Target = gw
@@ -721,7 +721,7 @@ reflood:
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.Path = pkt.AppendHop(s.dev.ID())
 	fwd.From = s.dev.ID()
 	fwd.TTL--
@@ -765,7 +765,7 @@ func (s *MLRSensor) handleRRes(pkt *packet.Packet) {
 	if idx == 0 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = pkt.Path[idx-1]
 	fwd.Hops++
@@ -793,7 +793,7 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 		if idx < 0 || idx+1 >= len(pkt.Path) {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
@@ -816,7 +816,7 @@ func (s *MLRSensor) handleData(pkt *packet.Packet) {
 		}
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	if fwd.To == r.Gateway {
@@ -873,7 +873,7 @@ func (s *MLRSensor) handleNotify(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++

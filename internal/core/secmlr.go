@@ -113,6 +113,7 @@ type SecMLRGateway struct {
 
 	guards map[packet.NodeID]*wsncrypto.ReplayGuard
 	txCtr  map[packet.NodeID]uint64
+	mac    wsncrypto.MACCache // keyed HMAC state per sensor key
 	// collecting accumulates alternative RREQ paths per (origin, seq)
 	// during the GatewayWait window.
 	collecting map[packet.DedupeKey]*pathCollection
@@ -249,7 +250,7 @@ func (g *SecMLRGateway) handleRReq(pkt *packet.Packet) {
 		return
 	}
 	// Verify (1) origin authenticity via the MAC ...
-	if !wsncrypto.Verify(key, mine.Counter, []byte{mine.Cipher}, mine.MAC) {
+	if !g.mac.Verify(key, mine.Counter, []byte{mine.Cipher}, mine.MAC) {
 		g.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
@@ -307,7 +308,7 @@ func (g *SecMLRGateway) answer(origin packet.NodeID, seq uint32) {
 		Sec: &packet.SecEnvelope{
 			Counter: ctr,
 			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
+			MAC:     g.mac.Sum(key, ctr, cipher),
 		},
 	}
 	if g.dev.Send(res) {
@@ -332,7 +333,7 @@ func (g *SecMLRGateway) handleData(pkt *packet.Packet) {
 		g.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
+	if !g.mac.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
 		g.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
@@ -380,7 +381,7 @@ func (g *SecMLRGateway) SendToSensor(sensor packet.NodeID, payload []byte) bool 
 		Sec: &packet.SecEnvelope{
 			Counter: ctr,
 			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
+			MAC:     g.mac.Sum(key, ctr, cipher),
 		},
 	}
 	if g.dev.Send(pkt) {
@@ -418,7 +419,7 @@ func (g *SecMLRGateway) sendAck(origin packet.NodeID, seq uint32) {
 		Sec: &packet.SecEnvelope{
 			Counter: ctr,
 			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
+			MAC:     g.mac.Sum(key, ctr, cipher),
 		},
 	}
 	if g.dev.Send(ack) {
@@ -463,6 +464,7 @@ type SecMLRSensor struct {
 	txCtr  map[packet.NodeID]uint64
 	guards map[packet.NodeID]*wsncrypto.ReplayGuard
 	tesla  map[packet.NodeID]*teslaState
+	mac    wsncrypto.MACCache // keyed HMAC state per gateway key
 
 	queue       [][]byte
 	discovering bool
@@ -655,7 +657,7 @@ func (s *SecMLRSensor) startDiscovery() {
 			Gateway: gw,
 			Counter: ctr,
 			Cipher:  cipher[0],
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
+			MAC:     s.mac.Sum(key, ctr, cipher),
 		})
 	}
 	// Deterministic block order (map iteration is randomized).
@@ -739,7 +741,7 @@ func (s *SecMLRSensor) sendData(payload []byte, r *Route, prev *pendingTx) {
 		Sec: &packet.SecEnvelope{
 			Counter: ctr,
 			Cipher:  cipher,
-			MAC:     wsncrypto.Sum(key, ctr, cipher),
+			MAC:     s.mac.Sum(key, ctr, cipher),
 		},
 	}
 	if s.dev.Send(pkt) {
@@ -801,7 +803,7 @@ func (s *SecMLRSensor) handleRReq(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.Path = pkt.AppendHop(s.dev.ID())
 	fwd.From = s.dev.ID()
 	fwd.TTL--
@@ -845,7 +847,7 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 		if idx == 0 {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx-1]
 		fwd.Hops++
@@ -860,7 +862,7 @@ func (s *SecMLRSensor) handleRRes(pkt *packet.Packet) {
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
+	if !s.mac.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
@@ -897,7 +899,7 @@ func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 		if idx < 0 || idx+1 >= len(pkt.Path) {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
@@ -916,7 +918,7 @@ func (s *SecMLRSensor) handleData(pkt *packet.Packet) {
 		return
 	}
 	// Rewrite IS/IR (§6.2.4) and forward.
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.TTL--
@@ -934,7 +936,7 @@ func (s *SecMLRSensor) deliverDownstream(pkt *packet.Packet) {
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
+	if !s.mac.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
@@ -956,7 +958,7 @@ func (s *SecMLRSensor) handleAck(pkt *packet.Packet) {
 		if idx+1 >= len(pkt.Path) || pkt.TTL <= 1 {
 			return
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
@@ -972,7 +974,7 @@ func (s *SecMLRSensor) handleAck(pkt *packet.Packet) {
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
-	if !wsncrypto.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
+	if !s.mac.Verify(key, pkt.Sec.Counter, pkt.Sec.Cipher, pkt.Sec.MAC) {
 		s.Metrics.Inc(metrics.RejectedMAC)
 		return
 	}
@@ -999,7 +1001,7 @@ func (s *SecMLRSensor) handleNotify(pkt *packet.Packet) {
 	}
 	s.processNotify(pkt)
 	if pkt.TTL > 1 {
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.TTL--
 		fwd.Hops++

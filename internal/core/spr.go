@@ -270,7 +270,7 @@ func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
 		if s.best == nil {
 			return // rediscovery in flight; this reading is lost
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.To = s.best.NextHop()
 		fwd.Target = s.best.Gateway
@@ -286,7 +286,7 @@ func (s *SPRSensor) HandleLinkFailure(pkt *packet.Packet) {
 	if !ok {
 		return // no surviving route for this flow; the frame is lost here
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.Path = append([]packet.NodeID(nil), r.Path...)
@@ -366,7 +366,7 @@ func (s *SPRSensor) handleNotify(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.TTL--
 	fwd.Hops++
@@ -402,7 +402,7 @@ func (s *SPRSensor) handleRReq(pkt *packet.Packet) {
 	if pkt.TTL <= 1 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.Path = pkt.AppendHop(s.dev.ID())
 	fwd.From = s.dev.ID()
 	fwd.TTL--
@@ -446,7 +446,7 @@ func (s *SPRSensor) handleRRes(pkt *packet.Packet) {
 	if idx <= 0 {
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = pkt.Path[idx-1]
 	fwd.Hops++
@@ -487,7 +487,7 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 			// of life until the advert deadline says otherwise.
 			s.lastHeard[pkt.Target] = s.dev.Now()
 		}
-		fwd := pkt.Clone()
+		fwd := pkt.Forward()
 		fwd.From = s.dev.ID()
 		fwd.To = pkt.Path[idx+1]
 		fwd.TTL--
@@ -507,7 +507,7 @@ func (s *SPRSensor) handleData(pkt *packet.Packet) {
 		traceExpired(s.dev, pkt, "no_entry")
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.TTL--
@@ -532,7 +532,7 @@ func (s *SPRSensor) redirectData(pkt *packet.Packet) bool {
 	if r == nil {
 		return false
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = s.dev.ID()
 	fwd.To = r.NextHop()
 	fwd.Target = r.Gateway

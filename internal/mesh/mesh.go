@@ -255,7 +255,7 @@ func (r *Router) handle(pkt *packet.Packet) {
 		r.lsdb[pkt.Origin] = lsa{seq: seq, neighbors: nbrs}
 		r.recompute()
 		if pkt.TTL > 1 {
-			fwd := pkt.Clone()
+			fwd := pkt.Forward()
 			fwd.From = r.dev.ID()
 			fwd.TTL--
 			fwd.Hops++
@@ -313,7 +313,7 @@ func (r *Router) forward(pkt *packet.Packet) bool {
 		r.stats.DataDropped++
 		return false
 	}
-	fwd := pkt.Clone()
+	fwd := pkt.Forward()
 	fwd.From = r.dev.ID()
 	fwd.To = nh
 	fwd.TTL--

@@ -50,7 +50,8 @@ type ARQConfig struct {
 // LinkFailureHandler is implemented by stacks that want to reroute when the
 // link layer exhausts its retry budget on a frame. The handler receives the
 // retired frame exactly as it was submitted to Send (To still names the
-// unresponsive hop); it may clone and re-send it along another route.
+// unresponsive hop). The frame was transmitted, so it is read-only: the
+// handler re-sends it along another route through a pkt.Forward() copy.
 type LinkFailureHandler interface {
 	HandleLinkFailure(pkt *packet.Packet)
 }

@@ -74,7 +74,10 @@ type Stack interface {
 	Start(dev *Device)
 	// HandleMessage is invoked for every successfully received (and
 	// energy-charged) sensor-layer packet addressed to this node or
-	// broadcast.
+	// broadcast. pkt is shared with every other receiver of the
+	// transmission and must not be written to: to relay it, take a header
+	// copy with pkt.Forward(), rewrite the copy's header fields, and assign
+	// a fresh Path or Payload slice (pkt.AppendHop) when they change.
 	HandleMessage(pkt *packet.Packet)
 }
 
@@ -220,9 +223,9 @@ func (d *Device) Promiscuous() bool { return d.world.soa.promisc[d.h] }
 
 // SetPromiscuous marks the device as an eavesdropper: unicast packets
 // addressed to other nodes are handed to its stack instead of being
-// dropped after the energy charge. The flag is mirrored onto the radio
-// stations (and re-applied on Recover) so the medium clones overheard
-// frames privately for this device.
+// dropped after the energy charge. They are the shared, read-only packets
+// every other receiver gets. The flag is mirrored onto the radio stations
+// (and re-applied on Recover).
 func (d *Device) SetPromiscuous(on bool) {
 	d.world.soa.promisc[d.h] = on
 	if d.sensorSt != nil {
@@ -444,8 +447,7 @@ func (d *Device) Recover() bool {
 	}
 	w.soa.pos[d.h] = snap.pos
 	if w.soa.promisc[d.h] {
-		// The fresh stations must re-learn the eavesdropper flag so the
-		// medium keeps cloning overheard frames privately for this device.
+		// The fresh stations must re-learn the eavesdropper flag.
 		d.SetPromiscuous(true)
 	}
 	w.soa.alive[d.h] = true

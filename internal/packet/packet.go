@@ -95,6 +95,14 @@ func (e *SecEnvelope) Clone() *SecEnvelope {
 // addresses. For DATA packets under SecMLR, From and To double as the
 // "immediate sender" (IS) and "immediate receiver" (IR) fields of Fig. 6 and
 // are rewritten at every hop, exactly as §6.2.4 describes.
+//
+// A packet is shared and read-only once transmitted: the radio hands the
+// sender's pointer to every receiver, so neither the sender nor any
+// receiver may write to it after Transmit — not its header fields, nor the
+// contents of its Path, Payload or Sec. A handler that relays a frame takes
+// a header copy with Forward, rewrites the copy's header fields, and
+// assigns a fresh slice (AppendHop, or a new append) when the relayed path
+// or payload differs.
 type Packet struct {
 	Kind   Kind
 	From   NodeID // immediate sender (IS); rewritten per hop
@@ -114,8 +122,10 @@ type Packet struct {
 	Sec     *SecEnvelope // SecMLR protection; nil when unsecured
 }
 
-// Clone returns a deep copy. The radio medium clones packets per receiver so
-// protocol handlers may mutate them freely.
+// Clone returns a deep copy whose Path, Payload and Sec may be mutated
+// without touching p. Handlers relay with Forward instead; Clone is for the
+// rare caller that must edit slice contents in place (tests, captured
+// replays).
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Path = append([]NodeID(nil), p.Path...)
@@ -124,8 +134,18 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
+// Forward returns a header-only copy of p for relaying: the copy's fixed
+// header fields (From, To, Target, TTL, Hops, ...) are its own, while Path,
+// Payload and Sec still alias p's. Rewrite headers freely; replace, never
+// edit, the shared slices.
+func (p *Packet) Forward() *Packet {
+	q := *p
+	return &q
+}
+
 // AppendHop returns the packet's path extended with id, allocating a fresh
-// backing array so sibling broadcasts do not alias.
+// backing array so sibling broadcasts — and the shared original — do not
+// alias.
 func (p *Packet) AppendHop(id NodeID) []NodeID {
 	path := make([]NodeID, 0, len(p.Path)+1)
 	path = append(path, p.Path...)

@@ -114,6 +114,49 @@ func TestCloneNilSec(t *testing.T) {
 	}
 }
 
+// Forward is a header-only copy: header writes stay private to the copy,
+// while Path, Payload and Sec are the original's own backing storage.
+func TestForwardAliasesBodies(t *testing.T) {
+	p := samplePacket()
+	q := p.Forward()
+	if q == p || !reflect.DeepEqual(p, q) {
+		t.Fatal("Forward must return a distinct, equal packet")
+	}
+	if &q.Path[0] != &p.Path[0] || &q.Payload[0] != &p.Payload[0] || q.Sec != p.Sec {
+		t.Fatal("Forward copied a body; it must alias Path, Payload and Sec")
+	}
+	q.From, q.To, q.Target = 50, 51, 52
+	q.TTL--
+	q.Hops++
+	if p.From != 3 || p.To != 7 || p.Target != 100 || p.TTL != 16 || p.Hops != 2 {
+		t.Fatalf("header rewrite on the forward copy leaked into the original: %v", p)
+	}
+	q.Path = q.AppendHop(51)
+	if len(p.Path) != 4 {
+		t.Fatal("replacing the copy's path touched the original")
+	}
+}
+
+// AppendHop must never write into the source path's backing array, even
+// when it has spare capacity: the source is a shared, read-only packet.
+func TestAppendHopNeverAliasesSource(t *testing.T) {
+	for _, c := range []int{2, 3, 8} {
+		p := &Packet{Kind: KindRReq, Path: make([]NodeID, 2, c)}
+		p.Path[0], p.Path[1] = 1, 2
+		a := p.AppendHop(3)
+		if &a[0] == &p.Path[0] {
+			t.Fatalf("cap %d: AppendHop result shares the source's backing array", c)
+		}
+		if c > 2 && p.Path[:3][2] != 0 {
+			t.Fatalf("cap %d: AppendHop wrote into the source's spare capacity", c)
+		}
+		a[0] = 99
+		if p.Path[0] != 1 {
+			t.Fatalf("cap %d: writing the extended path changed the source", c)
+		}
+	}
+}
+
 func TestAppendHopDoesNotAlias(t *testing.T) {
 	p := &Packet{Kind: KindRReq, Path: make([]NodeID, 2, 8)}
 	p.Path[0], p.Path[1] = 1, 2

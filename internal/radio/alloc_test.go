@@ -8,11 +8,10 @@ import (
 	"wmsn/internal/sim"
 )
 
-// Steady-state cost of one transmit+deliver cycle to a single receiver: the
-// only allocation left is the per-receiver packet clone (one struct; the
-// test packet has no path, payload or security envelope). Events come from
-// the kernel pool, deliveries from the medium pool, the receiver set from
-// the scratch buffer, and no closure or Timer is created.
+// Steady-state cost of one transmit+deliver cycle to a single receiver:
+// nothing is allocated. The receiver gets the transmitted packet itself,
+// events come from the kernel pool, deliveries from the medium pool, the
+// receiver set from the scratch buffer, and no closure or Timer is created.
 func TestTransmitDeliverAllocsPinned(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000})
@@ -29,8 +28,8 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 		m.Transmit(a, pkt)
 		k.RunAll()
 	})
-	if avg > 1 {
-		t.Fatalf("transmit+deliver allocates %.2f per cycle, want <=1 (the packet clone)", avg)
+	if avg != 0 {
+		t.Fatalf("transmit+deliver allocates %.2f per cycle, want 0", avg)
 	}
 	if got == 0 {
 		t.Fatal("nothing delivered")
@@ -38,8 +37,7 @@ func TestTransmitDeliverAllocsPinned(t *testing.T) {
 }
 
 // The collision model's pending lists must not break delivery pooling: under
-// sustained overlapping traffic the steady-state allocation stays pinned to
-// the per-receiver clones.
+// sustained overlapping traffic the steady state still allocates nothing.
 func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000, Collisions: true})
@@ -55,8 +53,8 @@ func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 		m.Transmit(a, pkt)
 		k.RunAll()
 	})
-	if avg > 2 {
-		t.Fatalf("collision-model cycle allocates %.2f, want <=2 (two clones)", avg)
+	if avg != 0 {
+		t.Fatalf("collision-model cycle allocates %.2f, want 0", avg)
 	}
 }
 

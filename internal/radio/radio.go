@@ -89,9 +89,8 @@ type Station struct {
 	listening bool
 	rxLoss    float64 // extra per-station reception loss probability
 	medium    *Medium
-	// promiscuous stations get a private clone of overheard unicasts (the
-	// node layer delivers those to the stack instead of dropping them);
-	// everyone else shares one read-only overhear copy per transmission.
+	// promiscuous marks an eavesdropper's attachment, as set by the node
+	// layer. The medium delivers to every station alike and never reads it.
 	promiscuous bool
 	// pending tracks receptions in flight, for the collision model;
 	// any two receptions whose airtimes overlap corrupt each other.
@@ -148,15 +147,14 @@ func (s *Station) Move(p geom.Point) {
 	s.medium.reindex(s, p)
 }
 
-// Promiscuous reports whether the station receives private clones of
-// overheard unicast traffic.
+// Promiscuous reports whether the station is marked as an eavesdropper.
 func (s *Station) Promiscuous() bool { return s.promiscuous }
 
-// SetPromiscuous marks the station as an eavesdropper: frames addressed to
-// other nodes are delivered as private clones its handler may mutate.
-// Non-promiscuous stations share one overhear copy per transmission, which
-// their handlers must treat as read-only (the node layer only inspects the
-// header before dropping foreign unicasts).
+// SetPromiscuous marks the station as an eavesdropper, one that consumes
+// unicasts addressed to other nodes instead of dropping them after the
+// energy charge. The medium delivers to it exactly as to any other
+// station: the transmitted packet itself, shared with every receiver and
+// read-only to the eavesdropper's handler too.
 func (s *Station) SetPromiscuous(on bool) { s.promiscuous = on }
 
 type delivery struct {
@@ -203,10 +201,6 @@ type Medium struct {
 	deliverFn      func(any)
 	deliverBatchFn func(any)
 	rxScratch      []*Station
-	// perEvent restores the legacy one-kernel-event-per-receiver schedule.
-	// It exists solely for the batched-vs-per-event A/B benchmark; handler
-	// invocation order is identical either way.
-	perEvent bool
 
 	// Sharded operation (sharded.go): one laneCtx per spatial region and
 	// the station-to-lane assignment rule. Nil in sequential mode, where
@@ -315,8 +309,11 @@ func (m *Medium) Airtime(sizeBytes int) sim.Duration {
 	return sim.Duration(math.Ceil(us))
 }
 
-// Attach registers a station. handler receives one cloned packet per
-// successful delivery. Attaching an already-attached ID panics: duplicate
+// Attach registers a station. handler is called once per successful
+// delivery with the transmitted packet itself — the same pointer every
+// other receiver of that transmission gets — so it must not write to the
+// packet; a handler that relays takes a header copy with
+// packet.Packet.Forward. Attaching an already-attached ID panics: duplicate
 // radio identities are a configuration bug (the deliberate case, the Sybil
 // attack, forges packet headers instead).
 func (m *Medium) Attach(id packet.NodeID, pos geom.Point, rangeM float64, handler func(*packet.Packet)) *Station {
@@ -397,11 +394,13 @@ func sortStations(ss []*Station) {
 }
 
 // Transmit broadcasts pkt from station from. Every listening station within
-// range receives a clone after airtime + PropDelay, unless the loss model
-// drops it or (with Collisions) an overlapping reception corrupts it.
-// Unicast packets (pkt.To != Broadcast) still occupy every neighbor's radio
-// — wireless is broadcast — but are only handed to the addressee; the node
-// layer charges overhearing energy accordingly.
+// range receives pkt itself after airtime + PropDelay, unless the loss model
+// drops it or (with Collisions) an overlapping reception corrupts it. No
+// copy is made: from the call on, pkt is shared by every receiver, and
+// neither the sender nor any receiver may write to it. Unicast packets
+// (pkt.To != Broadcast) reach every neighbor's radio too — wireless is
+// broadcast — and the node layer charges the overhearing energy before
+// dropping them at everyone but the addressee and eavesdroppers.
 //
 // With CSMA enabled, a busy channel defers the transmission by a random
 // backoff (retried up to MaxBackoffs times before the packet is abandoned).
@@ -477,11 +476,6 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 		m.active = append(m.active, activeTx{pos: from.pos, rangeM: from.rangeM, end: start + airtime})
 	}
 	m.rxScratch = m.inRangeInto(from, m.rxScratch[:0])
-	// One clone per receiver that will actually consume the payload
-	// (addressee, broadcast listener, eavesdropper); every other receiver
-	// overhears the same unicast only to charge energy and drop it at the
-	// node layer, so those share a single read-only copy per transmission.
-	var overhear *packet.Packet
 	var batch *deliveryBatch
 	for _, st := range m.rxScratch {
 		if !st.listening {
@@ -500,16 +494,7 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 			continue
 		}
 		d := m.getDelivery()
-		var cp *packet.Packet
-		if pkt.To == packet.Broadcast || pkt.To == st.id || st.promiscuous {
-			cp = pkt.Clone()
-		} else {
-			if overhear == nil {
-				overhear = pkt.Clone()
-			}
-			cp = overhear
-		}
-		d.to, d.pkt, d.start, d.end = st, cp, start, end
+		d.to, d.pkt, d.start, d.end = st, pkt, start, end
 		if m.cfg.Collisions {
 			// Any reception overlapping an in-flight one corrupts both.
 			for _, prev := range st.pending {
@@ -527,10 +512,6 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 				m.report(metrics.RadioCollided, 1)
 			}
 			st.pending = append(st.pending, d)
-		}
-		if m.perEvent {
-			m.k.ScheduleArgAt(end, m.deliverFn, d)
-			continue
 		}
 		if batch == nil {
 			batch = m.getBatch()

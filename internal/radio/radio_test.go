@@ -83,19 +83,67 @@ func TestDeliveryTiming(t *testing.T) {
 	}
 }
 
-func TestReceiverGetsClone(t *testing.T) {
-	k := sim.NewKernel(1)
-	m := New(k, SensorRadio())
-	var got *packet.Packet
+// Every listener — broadcast receiver, addressee, overhearer, eavesdropper
+// — is handed the transmitted packet itself: the medium makes no copy.
+func TestReceiversShareTransmittedPacket(t *testing.T) {
+	for _, to := range []packet.NodeID{packet.Broadcast, 2} {
+		k := sim.NewKernel(1)
+		m := New(k, SensorRadio())
+		got := map[packet.NodeID]*packet.Packet{}
+		s1 := m.Attach(1, geom.Point{}, 50, nil)
+		for _, id := range []packet.NodeID{2, 3, 4} {
+			id := id
+			m.Attach(id, geom.Point{X: float64(id)}, 50, func(p *packet.Packet) { got[id] = p })
+		}
+		m.Station(4).SetPromiscuous(true)
+		orig := testPkt(1)
+		orig.To = to
+		orig.Payload = []byte("abc")
+		m.Transmit(s1, orig)
+		k.RunAll()
+		if len(got) != 3 {
+			t.Fatalf("to=%v: %d of 3 listeners received", to, len(got))
+		}
+		for id, p := range got {
+			if p != orig {
+				t.Fatalf("to=%v: station %v got a copy, want the transmitted pointer", to, id)
+			}
+		}
+	}
+}
+
+// The sharded medium shares the transmitted packet too, with home-lane
+// receivers and — through the barrier outbox — with receivers on another
+// region's lane.
+func TestShardedReceiversShareTransmittedPacket(t *testing.T) {
+	kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
+	m := New(kernels[0], SensorRadio())
+	m.EnableSharding(kernels, func(_ packet.NodeID, p geom.Point) int32 {
+		if p.X < 20 {
+			return 0
+		}
+		return 1
+	})
+	got := map[packet.NodeID]*packet.Packet{}
 	s1 := m.Attach(1, geom.Point{}, 50, nil)
-	m.Attach(2, geom.Point{X: 5}, 50, func(p *packet.Packet) { got = p })
+	for id, x := range map[packet.NodeID]float64{2: 5, 3: 30} {
+		id := id
+		m.Attach(id, geom.Point{X: x}, 50, func(p *packet.Packet) { got[id] = p })
+	}
+	if m.Station(2).lane != 0 || m.Station(3).lane != 1 {
+		t.Fatal("test stations not split across the two lanes")
+	}
 	orig := testPkt(1)
 	orig.Payload = []byte("abc")
 	m.Transmit(s1, orig)
-	orig.Payload[0] = 'X' // mutate after transmit; receiver must see "abc"
-	k.RunAll()
-	if got == nil || string(got.Payload) != "abc" {
-		t.Fatalf("receiver saw %v, want isolated clone with payload abc", got)
+	kernels[0].RunAll()
+	m.DrainOutboxes()
+	kernels[1].RunAll()
+	for _, id := range []packet.NodeID{2, 3} {
+		if got[id] != orig {
+			t.Fatalf("station %v (lane %d) got %p, want the transmitted pointer %p",
+				id, m.Station(id).lane, got[id], orig)
+		}
 	}
 }
 

@@ -33,7 +33,9 @@ type laneCtx struct {
 }
 
 // remoteDelivery is a reception crossing a region border, staged until the
-// barrier. The packet is always a private clone: it crosses goroutines.
+// barrier. The packet is the transmitted one, shared with the sender's lane:
+// it is read-only everywhere, and the barrier orders the sender's writes
+// before any read on the destination lane.
 type remoteDelivery struct {
 	to         *Station
 	pkt        *packet.Packet
@@ -124,7 +126,6 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 	start := lc.k.Now()
 	end := start + airtime + m.cfg.PropDelay
 	lc.scratch = m.inRangeInto(from, lc.scratch[:0])
-	var overhear *packet.Packet
 	// Home-lane receptions of one transmission all complete at the same
 	// instant; they are scheduled as a single batch event (ID-sorted entry
 	// order matches the per-event firing order, exactly as in the sequential
@@ -136,7 +137,7 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 			// Cross-border: stage unconditionally; the listening and loss
 			// checks belong to the destination lane and run at adoption.
 			lc.outbox[st.lane] = append(lc.outbox[st.lane],
-				remoteDelivery{to: st, pkt: pkt.Clone(), start: start, end: end})
+				remoteDelivery{to: st, pkt: pkt, start: start, end: end})
 			continue
 		}
 		if !st.listening || st.handler == nil {
@@ -153,15 +154,7 @@ func (m *Medium) transmitSharded(from *Station, pkt *packet.Packet) {
 			continue
 		}
 		d := lc.getDelivery()
-		if pkt.To == packet.Broadcast || pkt.To == st.id || st.promiscuous {
-			d.pkt = pkt.Clone()
-		} else {
-			if overhear == nil {
-				overhear = pkt.Clone()
-			}
-			d.pkt = overhear
-		}
-		d.to, d.start, d.end = st, start, end
+		d.to, d.pkt, d.start, d.end = st, pkt, start, end
 		if batch == nil {
 			batch = lc.getBatch()
 		}

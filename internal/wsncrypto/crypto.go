@@ -17,6 +17,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 
 	"wmsn/internal/packet"
 )
@@ -82,6 +83,53 @@ func Sum(k Key, counter uint64, data []byte) []byte {
 // Verify checks tag against MAC(K, C | data) in constant time.
 func Verify(k Key, counter uint64, data, tag []byte) bool {
 	return hmac.Equal(tag, Sum(k, counter, data))
+}
+
+// MACCache computes the same tags as Sum and Verify, but keeps one keyed
+// HMAC-SHA-256 state per key and Resets it between messages instead of
+// building the keyed pads on every call. The zero value is ready to use. A
+// cache is not safe for concurrent use: each party (one SecMLR sensor or
+// gateway stack) owns its own, so the cache lives and dies with that
+// stack and its hit rate does not depend on the scheduler.
+type MACCache struct {
+	macs map[Key]hash.Hash
+	// Scratch for the counter prefix and Verify's tag: buffers handed to a
+	// hash.Hash escape, so they live here rather than on the stack.
+	ctr [8]byte
+	sum [MACSize]byte
+}
+
+// keyed returns k's HMAC state, reset and primed with the counter.
+func (c *MACCache) keyed(k Key, counter uint64) hash.Hash {
+	mac, ok := c.macs[k]
+	if ok {
+		mac.Reset()
+	} else {
+		if c.macs == nil {
+			c.macs = make(map[Key]hash.Hash)
+		}
+		key := k // k[:] would escape via hmac.New and heap-allocate k on hits too
+		mac = hmac.New(sha256.New, key[:])
+		c.macs[k] = mac
+	}
+	binary.BigEndian.PutUint64(c.ctr[:], counter)
+	mac.Write(c.ctr[:])
+	return mac
+}
+
+// Sum is Sum(k, counter, data) through the cached state.
+func (c *MACCache) Sum(k Key, counter uint64, data []byte) []byte {
+	mac := c.keyed(k, counter)
+	mac.Write(data)
+	return mac.Sum(nil)
+}
+
+// Verify is Verify(k, counter, data, tag) through the cached state; it
+// allocates nothing once k's state exists.
+func (c *MACCache) Verify(k Key, counter uint64, data, tag []byte) bool {
+	mac := c.keyed(k, counter)
+	mac.Write(data)
+	return hmac.Equal(tag, mac.Sum(c.sum[:0]))
 }
 
 // ReplayGuard tracks the counters accepted from one peer. The paper's

@@ -97,6 +97,47 @@ func TestMACRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// A MACCache must produce exactly the free functions' tags, whatever the
+// order in which its keys are interleaved: a Reset that left state from the
+// previous message behind would show up as a mismatch on the next one.
+func TestMACCacheMatchesFreeFunctions(t *testing.T) {
+	var c MACCache
+	keys := []Key{DeriveKey(master, 1, 100), DeriveKey(master, 2, 100), DeriveKey(master, 1, 101)}
+	for i := 0; i < 40; i++ {
+		k := keys[(i*7)%len(keys)]
+		data := bytes.Repeat([]byte{byte(i)}, i%9)
+		ctr := uint64(i / 2)
+		want := Sum(k, ctr, data)
+		if got := c.Sum(k, ctr, data); !bytes.Equal(got, want) {
+			t.Fatalf("message %d: cached tag %x, want %x", i, got, want)
+		}
+		if !c.Verify(k, ctr, data, want) {
+			t.Fatalf("message %d: cached Verify rejected a valid tag", i)
+		}
+		if c.Verify(k, ctr+1, data, want) || c.Verify(keys[(i*7+1)%len(keys)], ctr, data, want) {
+			t.Fatalf("message %d: cached Verify accepted a wrong counter or key", i)
+		}
+	}
+	if len(c.macs) != len(keys) {
+		t.Fatalf("cache holds %d keyed states, want one per key (%d)", len(c.macs), len(keys))
+	}
+}
+
+// Once a key's state exists, Verify allocates nothing and Sum only its
+// returned tag.
+func TestMACCacheAllocs(t *testing.T) {
+	var c MACCache
+	k := DeriveKey(master, 1, 100)
+	data := make([]byte, 64)
+	tag := c.Sum(k, 1, data)
+	if a := testing.AllocsPerRun(100, func() { c.Verify(k, 1, data, tag) }); a != 0 {
+		t.Fatalf("cached Verify allocates %.1f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.Sum(k, 1, data) }); a > 1 {
+		t.Fatalf("cached Sum allocates %.1f per call, want <= 1 (the tag)", a)
+	}
+}
+
 func TestReplayGuard(t *testing.T) {
 	var g ReplayGuard
 	if _, any := g.Highest(); any {
@@ -297,5 +338,15 @@ func BenchmarkMAC64B(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Sum(k, uint64(i), data)
+	}
+}
+
+func BenchmarkMACCache64B(b *testing.B) {
+	var c MACCache
+	k := DeriveKey(master, 1, 100)
+	data := make([]byte, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Sum(k, uint64(i), data)
 	}
 }

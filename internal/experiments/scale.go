@@ -88,7 +88,7 @@ func (countStack) HandleMessage(*packet.Packet) {}
 // ScaleTraffic pushes one hello broadcast from every one of n sensors
 // through the event engine — the ~30·n-delivery wave that exercises the
 // sharded window loop end to end at field sizes the sequential kernel
-// cannot reach interactively. Shards=1 runs the plain single-kernel engine;
+// cannot reach interactively. Shards=1 runs the world's one lane inline;
 // Shards=N splits the field into N vertical regions simulated by concurrent
 // workers under conservative time-window synchronization.
 //
@@ -102,9 +102,7 @@ func ScaleTraffic(o Opts, n int, seed int64) *trace.Table {
 	side := scaleSide(n)
 	region := geom.Square(side)
 	w := node.NewWorld(node.Config{Seed: seed})
-	if shards > 1 {
-		w.EnableSharding(shards, region)
-	}
+	w.EnableSharding(shards, region)
 	sensors := (geom.Uniform{}).Deploy(n, region, w.Kernel().Rand())
 	for i, p := range sensors {
 		w.AddSensor(packet.NodeID(i+1), p, 40, 0, countStack{})

@@ -130,7 +130,7 @@ type soa struct {
 	sentBytes []uint64
 	recv      []uint64
 	snaps     []attachSnapshot
-	lane      []int32 // owning shard lane; all zero when Shards <= 1
+	lane      []int32 // owning lane; all zero in a one-lane world
 }
 
 func (s *soa) grow(pos geom.Point, bat energy.Battery, lane int32) int32 {
@@ -236,22 +236,18 @@ func (d *Device) SetPromiscuous(on bool) {
 	}
 }
 
-// kern returns the kernel this device's per-device work runs on: the
-// world's (only) kernel in sequential mode, the device's region lane when
-// the world is sharded. Receive handlers, stack timers armed through
-// Device.After, and ARQ timers all live on this kernel.
+// kern returns the kernel of the device's lane, which runs its per-device
+// work: receive handlers, stack timers armed through Device.After, and ARQ
+// timers. In a one-lane world that is the world kernel.
 func (d *Device) kern() *sim.Kernel {
-	if d.world.lanes == nil {
-		return d.world.kernel
-	}
 	return d.world.lanes[d.world.soa.lane[d.h]].k
 }
 
 // Now returns the current virtual time as seen by this device.
 func (d *Device) Now() sim.Time { return d.kern().Now() }
 
-// After schedules fn on the kernel driving this device (the world kernel,
-// or the device's region lane when sharded).
+// After schedules fn on the kernel of this device's lane (the world kernel
+// in a one-lane world).
 func (d *Device) After(delay sim.Duration, fn func()) *sim.Timer {
 	return d.kern().After(delay, fn)
 }
@@ -506,8 +502,10 @@ type World struct {
 	order   []packet.NodeID // insertion order, for deterministic iteration
 	soa     soa             // dense per-device hot state, indexed by Device.h
 
-	lanes []*lane     // region lanes when sharded (sharded.go); nil otherwise
-	shard *shardState // sharding bookkeeping; nil when Shards <= 1
+	// lanes holds one lane per region (sharded.go); a world starts with a
+	// single lane whose kernel is the world kernel.
+	lanes []*lane
+	shard shardState // window-loop bookkeeping; zero in a one-lane world
 
 	deaths       []DeathRecord
 	firstDeath   sim.Time
@@ -515,7 +513,7 @@ type World struct {
 	sensorsTotal int
 	onDeath      []func(DeathRecord)
 	obs          *obs.Bus
-	progress     *sim.Progress // sharded runs publish from the window loop
+	progress     *sim.Progress // multi-lane runs publish from the window loop
 }
 
 // NewWorld builds an empty world.
@@ -544,6 +542,7 @@ func NewWorld(cfg Config) *World {
 		firstDeath:   -1,
 		obs:          cfg.Obs,
 	}
+	w.lanes = []*lane{{k: k}}
 	if cfg.EventPool != nil {
 		k.AdoptEventPool(cfg.EventPool)
 	}
@@ -629,7 +628,7 @@ func (w *World) newDevice(id packet.NodeID, kind Kind, pos geom.Point, bat energ
 		model: w.cfg.EnergyModel,
 		stack: stack,
 	}
-	d.h = w.soa.grow(pos, bat, w.laneFor(pos))
+	d.h = w.soa.grow(pos, bat, w.shard.stripLane(pos))
 	return d
 }
 
@@ -762,12 +761,12 @@ func (w *World) SensorEnergyStats() energy.Stats {
 }
 
 // SetInterrupt installs an externally owned cancellation flag on every
-// kernel this world drives — the world kernel and, when sharded, each region
-// lane. The run loops poll it between event batches (sim.SetInterrupt) and
-// the sharded window loop additionally checks it at window barriers, so a
-// flag set from another goroutine (typically a context.AfterFunc) stops the
-// simulation within one batch. The world is left mid-run: callers that
-// cancel should discard its summary rather than report it.
+// kernel this world drives — the world kernel and each lane's. The run
+// loops poll it between event batches (sim.SetInterrupt) and the multi-lane
+// window loop additionally checks it at window barriers, so a flag set from
+// another goroutine (typically a context.AfterFunc) stops the simulation
+// within one batch. The world is left mid-run: callers that cancel should
+// discard its summary rather than report it.
 func (w *World) SetInterrupt(flag *atomic.Bool) {
 	w.kernel.SetInterrupt(flag)
 	for _, ln := range w.lanes {
@@ -775,25 +774,24 @@ func (w *World) SetInterrupt(flag *atomic.Bool) {
 	}
 }
 
-// SetProgress installs a live progress watermark. Sequentially the kernel
-// publishes from its run loop; sharded, the window coordinator publishes at
-// each barrier (lane kernels never get the probe — their event counts are
-// summed by the coordinator instead, since per-kernel publishes would
-// overwrite one another).
+// SetProgress installs a live progress watermark. A one-lane world's kernel
+// publishes from its run loop; with several lanes the window coordinator
+// publishes at each barrier (lane kernels never get the probe — their event
+// counts are summed by the coordinator instead, since per-kernel publishes
+// would overwrite one another).
 func (w *World) SetProgress(p *sim.Progress) {
-	if w.lanes != nil {
+	if len(w.lanes) > 1 {
 		w.progress = p
 		return
 	}
 	w.kernel.SetProgress(p)
 }
 
-// Run drives the simulation until the given horizon. With sharding enabled
-// (EnableSharding) the run is executed as a sequence of conservative time
-// windows over concurrent region workers; otherwise it is a plain
-// single-kernel run.
+// Run drives the simulation until the given horizon. A one-lane world runs
+// its kernel inline; after EnableSharding the run is executed as a sequence
+// of conservative time windows over concurrent region workers.
 func (w *World) Run(until sim.Time) uint64 {
-	if w.lanes != nil {
+	if len(w.lanes) > 1 {
 		return w.runSharded(until)
 	}
 	return w.kernel.Run(until)
@@ -801,8 +799,8 @@ func (w *World) Run(until sim.Time) uint64 {
 
 // RunUntilIdle drives the simulation until no events remain.
 func (w *World) RunUntilIdle() uint64 {
-	if w.lanes != nil {
-		return w.runShardedAll()
+	if len(w.lanes) > 1 {
+		return w.runSharded(sim.Time(math.MaxInt64) / 4)
 	}
 	return w.kernel.RunAll()
 }

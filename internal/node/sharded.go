@@ -1,7 +1,6 @@
 package node
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,8 +11,12 @@ import (
 	"wmsn/internal/sim"
 )
 
-// Sharded execution: the field is split into vertical strips, one sim.Kernel
-// ("lane") per strip, simulated by concurrent workers under conservative
+// Lanes: every world runs its devices on lanes, one sim.Kernel each. A new
+// world has a single lane whose kernel is the world kernel, so a sequential
+// run is the one-lane case: Run drives that kernel inline, with no workers or
+// barriers, and every event sequence number and RNG draw is the world
+// kernel's own. EnableSharding splits the field into vertical strips, one
+// lane per strip, simulated by concurrent workers under conservative
 // time-window synchronization. The lookahead bound is physical: a frame
 // transmitted at time t is delivered no earlier than t + airtime + PropDelay,
 // and airtime is at least one microsecond, so any event one lane can cause
@@ -22,13 +25,14 @@ import (
 // cross-strip deliveries are staged in per-lane outboxes and adopted at the
 // window barrier, always before the destination lane's clock reaches them.
 //
-// The world's own kernel (Kernel()) becomes the global lane: everything
-// scheduled on it directly — traffic-arming randomness, gateway advert
-// sweeps, mesh HELLO timers, fault injection, Rounds controllers — executes
-// between windows on the coordinating goroutine with every worker parked,
-// preserving the sequential semantics of code that touches devices across
-// the whole field. Per-device work (receive handlers, stack timers armed
-// through Device.After, link-ARQ timers) runs on the device's lane.
+// In a sharded world the world's own kernel (Kernel()) becomes the global
+// lane: everything scheduled on it directly — traffic-arming randomness,
+// gateway advert sweeps, mesh HELLO timers, fault injection, Rounds
+// controllers — executes between windows on the coordinating goroutine with
+// every worker parked, preserving the sequential semantics of code that
+// touches devices across the whole field. Per-device work (receive
+// handlers, stack timers armed through Device.After, link-ARQ timers) runs
+// on the device's lane.
 //
 // Determinism: a sharded run is a deterministic function of (seed, shards).
 // It is not stream-identical to the sequential run — each lane consumes its
@@ -37,7 +41,8 @@ import (
 // delivered set, latencies, hop counts and energy totals match Shards=1
 // exactly; scenario.TestShardedSummariesMatch pins this.
 
-// lane is one strip's executor: a kernel plus the worker plumbing.
+// lane is one strip's executor: a kernel plus the worker plumbing (unused in
+// a one-lane world).
 type lane struct {
 	k      *sim.Kernel
 	work   chan sim.Time // horizons for the worker; closed at run end
@@ -55,7 +60,9 @@ type stagedDetach struct {
 	id packet.NodeID
 }
 
-// shardState is the sharding bookkeeping hung off a World.
+// shardState is the window-loop bookkeeping of a World. Its zero value
+// describes a one-lane world: stripLane maps every point to lane 0 and
+// inPar never turns true.
 type shardState struct {
 	shards int
 	region geom.Rect
@@ -85,12 +92,13 @@ func (sh *shardState) stripLane(p geom.Point) int32 {
 
 // EnableSharding splits the world into shards vertical strips over region,
 // each driven by its own kernel seeded deterministically from the world
-// seed. Must be called on a world with no devices yet (lane assignment
-// happens at Add time from the device position) and no active tracing (the
-// obs bus is not concurrency-safe). The MAC models requiring a global
-// channel view (CSMA, collisions) panic inside the media.
+// seed; they replace the single lane on the world kernel. Must be called on
+// a world with no devices yet (lane assignment happens at Add time from the
+// device position) and no active tracing (the obs bus is not
+// concurrency-safe). The MAC models requiring a global channel view (CSMA,
+// collisions) panic inside the media. shards <= 1 leaves the world as it is.
 func (w *World) EnableSharding(shards int, region geom.Rect) {
-	if shards <= 1 || w.lanes != nil {
+	if shards <= 1 || len(w.lanes) > 1 {
 		return
 	}
 	if len(w.order) > 0 {
@@ -104,8 +112,8 @@ func (w *World) EnableSharding(shards int, region geom.Rect) {
 		window = w.cfg.MeshRadio.PropDelay
 	}
 	window += sim.Duration(1) // minimum airtime quantum
-	sh := &shardState{shards: shards, region: region, window: window}
-	w.shard = sh
+	sh := &w.shard
+	sh.shards, sh.region, sh.window = shards, region, window
 	kernels := make([]*sim.Kernel, shards)
 	w.lanes = make([]*lane, shards)
 	for i := range kernels {
@@ -126,30 +134,9 @@ func (w *World) EnableSharding(shards int, region geom.Rect) {
 	w.meshMedium.EnableSharding(kernels, laneOf)
 }
 
-// Sharded reports whether the world runs region-sharded.
-func (w *World) Sharded() bool { return w.lanes != nil }
-
-// ShardCount returns the number of region lanes (1 when unsharded).
-func (w *World) ShardCount() int {
-	if w.lanes == nil {
-		return 1
-	}
-	return len(w.lanes)
-}
-
-// laneFor assigns a freshly added device to its owning lane.
-func (w *World) laneFor(p geom.Point) int32 {
-	if w.shard == nil {
-		return 0
-	}
-	return w.shard.stripLane(p)
-}
-
 // inParallel reports whether region workers are currently running — the
 // signal for kill and detach to stage their world-level effects.
-func (w *World) inParallel() bool {
-	return w.shard != nil && w.shard.inPar.Load()
-}
+func (w *World) inParallel() bool { return w.shard.inPar.Load() }
 
 // detachStation removes a dying device's attachment. During a parallel
 // window the structural mutation (grid, stations map) is staged for the
@@ -158,7 +145,7 @@ func (w *World) inParallel() bool {
 func (w *World) detachStation(m *radio.Medium, id packet.NodeID) {
 	if w.inParallel() {
 		m.Deafen(id)
-		sh := w.shard
+		sh := &w.shard
 		sh.mu.Lock()
 		sh.detach = append(sh.detach, stagedDetach{m: m, id: id})
 		sh.mu.Unlock()
@@ -169,7 +156,7 @@ func (w *World) detachStation(m *radio.Medium, id packet.NodeID) {
 
 // stageDeath queues the world-level effects of a death for the barrier.
 func (w *World) stageDeath(d *Device, rec DeathRecord) {
-	sh := w.shard
+	sh := &w.shard
 	sh.mu.Lock()
 	sh.deaths = append(sh.deaths, stagedDeath{d: d, rec: rec})
 	sh.mu.Unlock()
@@ -183,7 +170,7 @@ func (w *World) stageDeath(d *Device, rec DeathRecord) {
 func (w *World) drainBarrier() {
 	w.sensorMedium.DrainOutboxes()
 	w.meshMedium.DrainOutboxes()
-	sh := w.shard
+	sh := &w.shard
 	if len(sh.detach) > 0 {
 		for i, sd := range sh.detach {
 			sd.m.Detach(sd.id)
@@ -239,7 +226,7 @@ func (w *World) runWindow(horizon sim.Time) uint64 {
 	if busy == 1 {
 		return solo.k.RunBefore(horizon)
 	}
-	sh := w.shard
+	sh := &w.shard
 	sh.inPar.Store(true)
 	for _, ln := range w.lanes {
 		if ln.active {
@@ -266,14 +253,15 @@ func (w *World) advanceAll(t sim.Time) {
 	}
 }
 
-// runSharded is the conservative window loop behind World.Run. Global-lane
-// events run between windows in timestamp order relative to every lane
-// (ties resolve global-first); lane events run inside windows whose length
-// adapts to the earliest pending work, so idle stretches are skipped in one
-// step instead of millions of empty barriers.
+// runSharded is the conservative window loop behind World.Run and
+// RunUntilIdle in a multi-lane world. Global-lane events run between
+// windows in timestamp order relative to every lane (ties resolve
+// global-first); lane events run inside windows whose length adapts to the
+// earliest pending work, so idle stretches are skipped in one step instead
+// of millions of empty barriers.
 func (w *World) runSharded(until sim.Time) uint64 {
 	g := w.kernel
-	sh := w.shard
+	sh := &w.shard
 	g.ClearStop()
 	for _, ln := range w.lanes {
 		ln.k.ClearStop()
@@ -355,9 +343,4 @@ func (w *World) publishShardedProgress() {
 		events += ln.k.Fired()
 	}
 	w.progress.Publish(now, events)
-}
-
-// runShardedAll drives the sharded world until every lane drains.
-func (w *World) runShardedAll() uint64 {
-	return w.runSharded(sim.Time(math.MaxInt64) / 4)
 }

@@ -58,6 +58,37 @@ func TestTransmitAllocsPinnedWithCollisions(t *testing.T) {
 	}
 }
 
+// The multi-lane path is pinned too: a steady transmit → DrainOutboxes →
+// run cycle reaching a home-lane receiver (batched on the sender's lane) and
+// a cross-lane receiver (staged in the outbox, adopted on its own lane)
+// allocates nothing. Outboxes keep their capacity across barriers and each
+// lane recycles the deliveries it completes.
+func TestShardedTransmitDrainAllocsPinned(t *testing.T) {
+	kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
+	m := New(kernels[0], Config{BitRate: 250_000})
+	m.EnableSharding(kernels, splitAt20)
+	a := m.Attach(1, geom.Point{}, 50, nil)
+	got := map[packet.NodeID]int{}
+	m.Attach(2, geom.Point{X: 10}, 50, func(*packet.Packet) { got[2]++ })
+	m.Attach(3, geom.Point{X: 30}, 50, func(*packet.Packet) { got[3]++ })
+	pkt := testPkt(1)
+	cycle := func() {
+		m.Transmit(a, pkt)
+		kernels[0].RunAll()
+		m.DrainOutboxes()
+		kernels[1].RunAll()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("sharded transmit+drain+deliver allocates %.2f per cycle, want 0", avg)
+	}
+	if got[2] == 0 || got[3] == 0 {
+		t.Fatalf("deliveries home-lane=%d cross-lane=%d, want both > 0", got[2], got[3])
+	}
+}
+
 // Recycled deliveries must not alias: a delivery handed to one receiver
 // stays intact after its struct is reused for later traffic.
 func TestDeliveryRecyclingDoesNotAlias(t *testing.T) {

@@ -82,7 +82,13 @@ type Stats struct {
 
 // Station is a node's attachment to a medium.
 type Station struct {
-	id        packet.NodeID
+	id packet.NodeID
+	// lane indexes the medium lane that owns the station: always 0 on a
+	// one-lane medium, assigned by the laneOf rule once EnableSharding has
+	// split the medium (sharded.go). Immutable during parallel windows.
+	// Kept beside id, which the receiver sort reads, so transmit's lane
+	// test touches no further cache line.
+	lane      int32
 	pos       geom.Point
 	rangeM    float64
 	handler   func(*packet.Packet)
@@ -95,9 +101,6 @@ type Station struct {
 	// pending tracks receptions in flight, for the collision model;
 	// any two receptions whose airtimes overlap corrupt each other.
 	pending []*delivery
-	// lane is the owning region when the medium is sharded (sharded.go);
-	// always 0 otherwise. Immutable during parallel windows.
-	lane int32
 }
 
 // ID returns the station's node ID.
@@ -183,30 +186,40 @@ type activeTx struct {
 	end    sim.Time
 }
 
-// Medium is a shared broadcast channel among registered stations.
+// Medium is a shared broadcast channel among registered stations. Its
+// mutable hot-path state lives in lanes, one laneCtx per kernel driving the
+// medium: New makes a single lane on the given kernel, and EnableSharding
+// (sharded.go) splits the medium into one lane per region. The stations map
+// and the spatial grid are shared by every lane.
 type Medium struct {
-	k        *sim.Kernel
 	cfg      Config
 	stations map[packet.NodeID]*Station
 	grid     *geom.GridIndex[*Station] // spatial index for receiver lookup
-	stats    Stats
-	active   []activeTx // in-flight transmissions (CSMA only)
+	active   []activeTx                // in-flight transmissions (CSMA only)
 
-	// Hot-path scratch: delivery structs and batches are pooled on free
-	// lists and scheduled through the kernel's zero-alloc arg path via
-	// deliverFn/deliverBatchFn (bound once here, so no per-delivery closure
-	// exists); rxScratch is the reusable receiver buffer for transmitNow.
+	lanes  []*laneCtx                            // at least one; lane i runs on lanes[i].k
+	laneOf func(packet.NodeID, geom.Point) int32 // station-to-lane rule; nil until EnableSharding
+}
+
+// laneCtx is one lane's share of a medium. Transmissions from, and
+// receptions at, the lane's stations run on its kernel, draw from its RNG
+// and count into its Stats. Delivery structs and batches are pooled on its
+// free lists and scheduled through the kernel's zero-alloc arg path via
+// deliverFn/deliverBatchFn (bound once per lane, so no per-delivery closure
+// exists); rxScratch is the reusable receiver buffer of transmit. A lane
+// owns all of this exclusively, so concurrent region workers never share
+// mutable radio state.
+type laneCtx struct {
+	k              *sim.Kernel
+	stats          Stats
 	freeDel        []*delivery
 	freeBatch      []*deliveryBatch
+	rxScratch      []*Station
 	deliverFn      func(any)
 	deliverBatchFn func(any)
-	rxScratch      []*Station
-
-	// Sharded operation (sharded.go): one laneCtx per spatial region and
-	// the station-to-lane assignment rule. Nil in sequential mode, where
-	// none of the per-lane paths execute.
-	lanes  []*laneCtx
-	laneOf func(packet.NodeID, geom.Point) int32
+	// outbox[dst] collects the receptions this lane produced for stations
+	// on lane dst during the current window; empty on a one-lane medium.
+	outbox [][]remoteDelivery
 }
 
 // New creates a medium driven by kernel k.
@@ -222,31 +235,37 @@ func New(k *sim.Kernel, cfg Config) *Medium {
 		cell = 50
 	}
 	m := &Medium{
-		k:        k,
 		cfg:      cfg,
 		stations: make(map[packet.NodeID]*Station),
 		grid:     geom.NewGridIndex[*Station](cell),
 	}
-	m.deliverFn = func(arg any) { m.deliver(arg.(*delivery)) }
-	m.deliverBatchFn = func(arg any) { m.deliverBatch(arg.(*deliveryBatch)) }
+	m.lanes = []*laneCtx{m.newLane(k, 1)}
 	return m
 }
 
-func (m *Medium) getBatch() *deliveryBatch {
-	if n := len(m.freeBatch); n > 0 {
-		b := m.freeBatch[n-1]
-		m.freeBatch[n-1] = nil
-		m.freeBatch = m.freeBatch[:n-1]
+// newLane makes an empty lane on kernel k for a medium of n lanes.
+func (m *Medium) newLane(k *sim.Kernel, n int) *laneCtx {
+	lc := &laneCtx{k: k, outbox: make([][]remoteDelivery, n)}
+	lc.deliverFn = func(arg any) { m.deliver(lc, arg.(*delivery)) }
+	lc.deliverBatchFn = func(arg any) { m.deliverBatch(lc, arg.(*deliveryBatch)) }
+	return lc
+}
+
+func (lc *laneCtx) getBatch() *deliveryBatch {
+	if n := len(lc.freeBatch); n > 0 {
+		b := lc.freeBatch[n-1]
+		lc.freeBatch[n-1] = nil
+		lc.freeBatch = lc.freeBatch[:n-1]
 		return b
 	}
 	return &deliveryBatch{}
 }
 
-func (m *Medium) getDelivery() *delivery {
-	if n := len(m.freeDel); n > 0 {
-		d := m.freeDel[n-1]
-		m.freeDel[n-1] = nil
-		m.freeDel = m.freeDel[:n-1]
+func (lc *laneCtx) getDelivery() *delivery {
+	if n := len(lc.freeDel); n > 0 {
+		d := lc.freeDel[n-1]
+		lc.freeDel[n-1] = nil
+		lc.freeDel = lc.freeDel[:n-1]
 		return d
 	}
 	return &delivery{}
@@ -255,20 +274,26 @@ func (m *Medium) getDelivery() *delivery {
 // putDelivery recycles a delivery once its own deliver event has run and it
 // is out of every pending list. Deliveries dropped from a pending list by a
 // sibling's compaction stay live until their own event fires.
-func (m *Medium) putDelivery(d *delivery) {
+func (lc *laneCtx) putDelivery(d *delivery) {
 	d.to = nil
 	d.pkt = nil
 	d.corrupted = false
-	m.freeDel = append(m.freeDel, d)
+	lc.freeDel = append(lc.freeDel, d)
 }
 
-// Stats returns a snapshot of medium counters. On a sharded medium the
-// per-lane counters are folded in, in lane order.
+// Stats returns a snapshot of medium counters, summed over the lanes.
 func (m *Medium) Stats() Stats {
-	if m.lanes != nil {
-		return m.mergeLaneStats(m.stats)
+	var s Stats
+	for _, lc := range m.lanes {
+		s.Transmissions += lc.stats.Transmissions
+		s.Deliveries += lc.stats.Deliveries
+		s.Lost += lc.stats.Lost
+		s.Collided += lc.stats.Collided
+		s.BytesOnAir += lc.stats.BytesOnAir
+		s.Backoffs += lc.stats.Backoffs
+		s.CSMADropped += lc.stats.CSMADropped
 	}
-	return m.stats
+	return s
 }
 
 // LossRate returns the medium-wide per-link loss probability.
@@ -291,14 +316,15 @@ func (m *Medium) report(c metrics.Counter, n uint64) {
 }
 
 // observeLoss traces a dropped copy of a unicast DATA frame at its
-// addressee. Broadcast copies and overheard unicasts are omitted: only the
-// addressee's loss is a hop-level event the link layer will react to.
-func (m *Medium) observeLoss(st *Station, pkt *packet.Packet, reason string) {
+// addressee, stamped with the clock of st's lane lc. Broadcast copies and
+// overheard unicasts are omitted: only the addressee's loss is a hop-level
+// event the link layer will react to.
+func (m *Medium) observeLoss(lc *laneCtx, st *Station, pkt *packet.Packet, reason string) {
 	if !m.cfg.Obs.Active() || pkt.Kind != packet.KindData || pkt.To != st.id {
 		return
 	}
 	m.cfg.Obs.Emit(obs.Event{
-		At: m.k.Now(), Kind: obs.FrameLost, Node: st.id, Peer: pkt.From,
+		At: lc.k.Now(), Kind: obs.FrameLost, Node: st.id, Peer: pkt.From,
 		Origin: pkt.Origin, Seq: pkt.Seq, Detail: reason,
 	})
 }
@@ -408,20 +434,15 @@ func (m *Medium) Transmit(from *Station, pkt *packet.Packet) {
 	if from == nil {
 		return
 	}
-	if m.lanes != nil {
-		m.transmitSharded(from, pkt)
-		return
-	}
 	if m.cfg.CSMA {
 		m.transmitCSMA(from, pkt, 0)
 		return
 	}
-	m.transmitNow(from, pkt)
+	m.transmit(from, pkt)
 }
 
-// carrierBusy reports whether st can hear an in-flight transmission.
-func (m *Medium) carrierBusy(st *Station) bool {
-	now := m.k.Now()
+// carrierBusy reports whether st can hear an in-flight transmission at now.
+func (m *Medium) carrierBusy(st *Station, now sim.Time) bool {
 	kept := m.active[:0]
 	busy := false
 	for _, tx := range m.active {
@@ -437,6 +458,9 @@ func (m *Medium) carrierBusy(st *Station) bool {
 	return busy
 }
 
+// transmitCSMA is the carrier-sense path. Like the collision model it needs
+// a global view of the channel, so it runs only on a one-lane medium
+// (EnableSharding refuses both), where the sender's lane is lane 0.
 func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
 	if from.handler == nil && m.stations[from.id] == nil {
 		return // detached while backing off
@@ -449,58 +473,64 @@ func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
 	if window <= 0 {
 		window = 4 * sim.Millisecond
 	}
-	if m.carrierBusy(from) {
+	lc := m.lanes[from.lane]
+	if m.carrierBusy(from, lc.k.Now()) {
 		if attempt >= maxB {
-			m.stats.CSMADropped++
+			lc.stats.CSMADropped++
 			m.report(metrics.RadioDropped, 1)
 			return
 		}
-		m.stats.Backoffs++
+		lc.stats.Backoffs++
 		m.report(metrics.RadioBackoffs, 1)
-		delay := 1 + sim.Duration(m.k.Rand().Int63n(int64(window)))
-		m.k.After(delay, func() { m.transmitCSMA(from, pkt, attempt+1) })
+		delay := 1 + sim.Duration(lc.k.Rand().Int63n(int64(window)))
+		lc.k.After(delay, func() { m.transmitCSMA(from, pkt, attempt+1) })
 		return
 	}
-	m.transmitNow(from, pkt)
+	m.transmit(from, pkt)
 }
 
-func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
-	m.stats.Transmissions++
-	m.stats.BytesOnAir += uint64(pkt.Size())
+// transmit puts pkt on the air from the sender's lane. It runs on that
+// lane's worker during a parallel window, or on the coordinating goroutine
+// (every worker parked) otherwise; either way it mutates only the sender
+// lane's context and its outboxes, which no one else reads until the
+// barrier. Receivers on the sender's lane are checked here and their
+// receptions — which all complete at the same instant — are scheduled as a
+// single batch event, so a broadcast heard by d neighbors costs one heap
+// operation instead of d. Receivers on another lane are staged in the
+// outbox unchecked: their checks belong to the destination lane and run
+// when DrainOutboxes adopts them. A one-lane medium never stages anything.
+func (m *Medium) transmit(from *Station, pkt *packet.Packet) {
+	lc := m.lanes[from.lane]
+	size := uint64(pkt.Size())
+	lc.stats.Transmissions++
+	lc.stats.BytesOnAir += size
 	m.report(metrics.RadioTransmissions, 1)
-	m.report(metrics.RadioBytesOnAir, uint64(pkt.Size()))
+	m.report(metrics.RadioBytesOnAir, size)
 	airtime := m.Airtime(pkt.Size())
-	start := m.k.Now()
+	start := lc.k.Now()
 	end := start + airtime + m.cfg.PropDelay
 	if m.cfg.CSMA {
 		m.active = append(m.active, activeTx{pos: from.pos, rangeM: from.rangeM, end: start + airtime})
 	}
-	m.rxScratch = m.inRangeInto(from, m.rxScratch[:0])
+	lc.rxScratch = m.inRangeInto(from, lc.rxScratch[:0])
 	var batch *deliveryBatch
-	for _, st := range m.rxScratch {
-		if !st.listening {
+	for _, st := range lc.rxScratch {
+		if st.lane != from.lane {
+			lc.outbox[st.lane] = append(lc.outbox[st.lane],
+				remoteDelivery{to: st, pkt: pkt, start: start, end: end})
 			continue
 		}
-		if m.cfg.LossRate > 0 && m.k.Rand().Float64() < m.cfg.LossRate {
-			m.stats.Lost++
-			m.report(metrics.RadioLost, 1)
-			m.observeLoss(st, pkt, "loss")
+		if !m.accept(lc, st, pkt) {
 			continue
 		}
-		if st.rxLoss > 0 && m.k.Rand().Float64() < st.rxLoss {
-			m.stats.Lost++
-			m.report(metrics.RadioLost, 1)
-			m.observeLoss(st, pkt, "loss")
-			continue
-		}
-		d := m.getDelivery()
+		d := lc.getDelivery()
 		d.to, d.pkt, d.start, d.end = st, pkt, start, end
 		if m.cfg.Collisions {
 			// Any reception overlapping an in-flight one corrupts both.
 			for _, prev := range st.pending {
 				if prev.end > start && !prev.corrupted {
 					prev.corrupted = true
-					m.stats.Collided++
+					lc.stats.Collided++
 					m.report(metrics.RadioCollided, 1)
 				}
 				if prev.end > start {
@@ -508,28 +538,53 @@ func (m *Medium) transmitNow(from *Station, pkt *packet.Packet) {
 				}
 			}
 			if d.corrupted {
-				m.stats.Collided++
+				lc.stats.Collided++
 				m.report(metrics.RadioCollided, 1)
 			}
 			st.pending = append(st.pending, d)
 		}
 		if batch == nil {
-			batch = m.getBatch()
+			batch = lc.getBatch()
 		}
 		batch.entries = append(batch.entries, d)
 	}
 	if batch != nil {
-		m.k.ScheduleArgAt(end, m.deliverBatchFn, batch)
+		lc.k.ScheduleArgAt(end, lc.deliverBatchFn, batch)
 	}
 }
 
-// deliverBatch completes every reception of one transmission. All entries
-// share the same arrival instant, and their ID-sorted order matches the
-// firing order of the per-event schedule they replace (consecutive
-// sequence numbers at an equal timestamp).
-func (m *Medium) deliverBatch(b *deliveryBatch) {
+// accept runs the receiver-side checks for a reception at st on st's lane
+// lc and reports whether it goes ahead: the station must be listening and
+// have a handler, then survive the medium-wide LossRate draw and its own
+// RxLoss draw, both from lc's RNG (so each lane's random stream is consumed
+// only by its own receptions). transmit applies it to home-lane receivers
+// and DrainOutboxes to adopted cross-lane ones. Both loss probabilities lie
+// in [0,1), so a zero sum means no draw is due; that test keeps accept
+// small enough to inline on the loss-free hot path.
+func (m *Medium) accept(lc *laneCtx, st *Station, pkt *packet.Packet) bool {
+	return st.listening && st.handler != nil &&
+		(m.cfg.LossRate+st.rxLoss == 0 || m.survivesLoss(lc, st, pkt))
+}
+
+// survivesLoss makes accept's loss draws, counting and tracing a loss.
+func (m *Medium) survivesLoss(lc *laneCtx, st *Station, pkt *packet.Packet) bool {
+	if (m.cfg.LossRate > 0 && lc.k.Rand().Float64() < m.cfg.LossRate) ||
+		(st.rxLoss > 0 && lc.k.Rand().Float64() < st.rxLoss) {
+		lc.stats.Lost++
+		m.report(metrics.RadioLost, 1)
+		m.observeLoss(lc, st, pkt, "loss")
+		return false
+	}
+	return true
+}
+
+// deliverBatch completes every reception of one transmission on lane lc.
+// All entries share the same arrival instant, and their ID-sorted order
+// matches the firing order of the per-event schedule they replace
+// (consecutive sequence numbers at an equal timestamp).
+func (m *Medium) deliverBatch(lc *laneCtx, b *deliveryBatch) {
 	for i, d := range b.entries {
-		if m.k.Stopped() {
+		if lc.k.Stopped() {
 			// Kernel.Stop landed inside this batch (typically a reception's
 			// energy charge killed the node whose death stops the run). The
 			// per-event schedule would have left the remaining receptions
@@ -537,25 +592,26 @@ func (m *Medium) deliverBatch(b *deliveryBatch) {
 			// never resumes drops them exactly as before, and a resumed
 			// run still completes them.
 			for j := i; j < len(b.entries); j++ {
-				m.k.ScheduleArgAt(b.entries[j].end, m.deliverFn, b.entries[j])
+				lc.k.ScheduleArgAt(b.entries[j].end, lc.deliverFn, b.entries[j])
 				b.entries[j] = nil
 			}
 			break
 		}
 		b.entries[i] = nil
-		m.deliver(d)
+		m.deliver(lc, d)
 	}
 	b.entries = b.entries[:0]
-	m.freeBatch = append(m.freeBatch, b)
+	lc.freeBatch = append(lc.freeBatch, b)
 }
 
-func (m *Medium) deliver(d *delivery) {
+// deliver completes one reception on the receiver's lane lc.
+func (m *Medium) deliver(lc *laneCtx, d *delivery) {
 	st := d.to
 	if m.cfg.Collisions {
 		// Drop completed receptions from the pending set. This always drops
 		// d itself (d.end == now), so d is unreferenced after this call and
 		// safe to recycle below.
-		now := m.k.Now()
+		now := lc.k.Now()
 		kept := st.pending[:0]
 		for _, p := range st.pending {
 			if p.end > now {
@@ -565,68 +621,72 @@ func (m *Medium) deliver(d *delivery) {
 		st.pending = kept
 	}
 	corrupted, pkt := d.corrupted, d.pkt
-	m.putDelivery(d)
+	lc.putDelivery(d)
 	if corrupted {
-		m.observeLoss(st, pkt, "collision")
+		m.observeLoss(lc, st, pkt, "collision")
 		return
 	}
 	if st.handler == nil || !st.listening {
 		return
 	}
-	m.stats.Deliveries++
+	lc.stats.Deliveries++
 	m.report(metrics.RadioDeliveries, 1)
 	st.handler(pkt)
 }
 
 // Pool carries a medium's recycled hot-path storage — delivery structs,
-// delivery batches and the receiver scratch buffer — between sequential
-// runs (the run arena; see sim.EventPool for the kernel half). A zero Pool
-// is valid and empty. Pools are not safe for concurrent use: each run
-// adopts the pool's storage exclusively and harvests it back when done.
+// delivery batches and a receiver scratch buffer — between runs (the run
+// arena; see sim.EventPool for the kernel half). A zero Pool is valid and
+// empty. Pools are not safe for concurrent use: each run adopts the pool's
+// storage exclusively and harvests it back when done.
 type Pool struct {
 	del     []*delivery
 	batches []*deliveryBatch
-	scratch [][]*Station
+	scratch []*Station
 }
 
-// AdoptPool seeds m's free lists from p, emptying p. Call once, on a
-// freshly constructed medium.
+// AdoptPool seeds lane 0's free lists and scratch buffer from p, emptying
+// p. Call once, on a freshly constructed medium; EnableSharding keeps lane
+// 0's storage.
 func (m *Medium) AdoptPool(p *Pool) {
+	lc := m.lanes[0]
 	if p.del != nil {
-		m.freeDel = p.del
+		lc.freeDel = p.del
 		p.del = nil
 	}
 	if p.batches != nil {
-		m.freeBatch = p.batches
+		lc.freeBatch = p.batches
 		p.batches = nil
 	}
-	if n := len(p.scratch); n > 0 {
-		m.rxScratch = p.scratch[n-1][:0]
-		p.scratch[n-1] = nil
-		p.scratch = p.scratch[:n-1]
+	if p.scratch != nil {
+		lc.rxScratch = p.scratch
+		p.scratch = nil
 	}
 }
 
-// HarvestPool moves m's pooled storage into p and detaches it from m. The
-// medium remains usable afterwards (it simply allocates fresh storage),
-// but the harvested structures must not be reached through stale kernel
-// events — the caller harvests the kernel in the same breath, which
-// invalidates every scheduled delivery. All station and packet references
-// are cleared so the pool never pins a dead world in memory.
+// HarvestPool moves every lane's pooled storage into p and detaches it from
+// m. Of the lanes' scratch buffers p keeps the largest, since only lane 0
+// adopts one. The medium remains usable afterwards (it simply allocates
+// fresh storage), but the harvested structures must not be reached through
+// stale kernel events — the caller harvests the kernel in the same breath,
+// which invalidates every scheduled delivery. All station and packet
+// references are cleared so the pool never pins a dead world in memory.
 func (m *Medium) HarvestPool(p *Pool) {
 	// Free-listed deliveries were already cleared by putDelivery; batches
 	// nil their entries in deliverBatch. Deliveries still in flight are
 	// abandoned to the GC along with their kernel events.
-	p.del = append(p.del, m.freeDel...)
-	m.freeDel = nil
-	p.batches = append(p.batches, m.freeBatch...)
-	m.freeBatch = nil
-	if m.rxScratch != nil {
-		s := m.rxScratch[:cap(m.rxScratch)]
-		for i := range s {
-			s[i] = nil
+	for _, lc := range m.lanes {
+		p.del = append(p.del, lc.freeDel...)
+		lc.freeDel = nil
+		p.batches = append(p.batches, lc.freeBatch...)
+		lc.freeBatch = nil
+		if cap(lc.rxScratch) > cap(p.scratch) {
+			s := lc.rxScratch[:cap(lc.rxScratch)]
+			for i := range s {
+				s[i] = nil
+			}
+			p.scratch = s[:0]
 		}
-		p.scratch = append(p.scratch, s[:0])
-		m.rxScratch = nil
+		lc.rxScratch = nil
 	}
 }

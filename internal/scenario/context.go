@@ -43,17 +43,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 // runContext builds and drives one run, arming the kernel interrupt only
 // when ctx is cancelable.
 func runContext(ctx context.Context, cfg Config) (Result, error) {
-	// Sharded worlds schedule on per-lane kernels, so the shared arena's
-	// recycled event storage (sized for one kernel) is not used.
-	var ar *runArena
-	if cfg.Shards <= 1 {
-		ar = arenas.Get().(*runArena)
-	}
+	// A sharded world's region kernels allocate their own events; its world
+	// kernel and every radio lane still draw from, and return to, the arena.
+	ar := arenas.Get().(*runArena)
 	n, err := buildE(cfg, ar)
 	if err != nil {
-		if ar != nil {
-			arenas.Put(ar)
-		}
+		arenas.Put(ar)
 		return Result{}, err
 	}
 	var stop func() bool
@@ -66,10 +61,8 @@ func runContext(ctx context.Context, cfg Config) (Result, error) {
 	if stop != nil {
 		stop()
 	}
-	if ar != nil {
-		n.World.ReleasePools()
-		arenas.Put(ar)
-	}
+	n.World.ReleasePools()
+	arenas.Put(ar)
 	if err := ctx.Err(); err != nil {
 		// The world stopped mid-run; its summary is partial and misleading,
 		// so report only the cancellation.

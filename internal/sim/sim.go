@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 )
@@ -398,36 +399,28 @@ func (k *Kernel) Step() bool {
 // executed event (or advanced to until when the horizon is hit with events
 // still pending). Run returns the number of events executed.
 func (k *Kernel) Run(until Time) uint64 {
-	k.stopped = false
-	start := k.fired
-	check := 0
-	for !k.stopped {
-		if k.interrupt != nil || k.progress != nil {
-			if check == 0 {
-				k.progress.Publish(k.now, k.fired)
-				if k.interrupt != nil && k.interrupt.Load() {
-					k.stopped = true
-					break
-				}
-				check = interruptStride
-			}
-			check--
-		}
-		if len(k.queue) == 0 {
-			break
-		}
-		if k.queue[0].at > until {
-			k.now = until
-			break
-		}
-		k.Step()
+	n := k.loop(until)
+	if !k.stopped && len(k.queue) > 0 {
+		k.now = until // stopped by the horizon, not by Stop or a drained queue
 	}
 	k.progress.Publish(k.now, k.fired)
-	return k.fired - start
+	return n
 }
 
 // RunAll executes events until the queue drains or Stop is called.
 func (k *Kernel) RunAll() uint64 {
+	n := k.loop(Time(math.MaxInt64))
+	k.progress.Publish(k.now, k.fired)
+	return n
+}
+
+// loop is the one event loop behind Run, RunAll and RunBefore: it executes
+// events with a timestamp at or before last, in (at, seq) order, until the
+// queue holds none, Stop is called, or the interrupt flag reads true. The
+// flag and the progress probe are polled at entry and then every
+// interruptStride events. loop never moves the clock past the last executed
+// event; that, and the final progress publish, are the callers' business.
+func (k *Kernel) loop(last Time) uint64 {
 	k.stopped = false
 	start := k.fired
 	check := 0
@@ -443,11 +436,11 @@ func (k *Kernel) RunAll() uint64 {
 			}
 			check--
 		}
-		if !k.Step() {
+		if len(k.queue) == 0 || k.queue[0].at > last {
 			break
 		}
+		k.Step()
 	}
-	k.progress.Publish(k.now, k.fired)
 	return k.fired - start
 }
 

@@ -2,14 +2,16 @@ package sim
 
 import "fmt"
 
-// Conservative-window primitives for the sharded execution engine
-// (internal/node EnableSharding). A sharded world drives one Kernel per
-// spatial region; the window loop interrogates each lane's earliest pending
+// Conservative-window primitives for the multi-lane window loop
+// (internal/node EnableSharding). A world drives one Kernel per lane; a
+// one-lane world runs its kernel inline through Run or RunAll, while a
+// multi-lane world's window loop interrogates each lane's earliest pending
 // event (NextAt), lets workers execute events strictly below a shared
-// horizon (RunBefore), and aligns lane clocks at barriers (AdvanceTo).
-// Each Kernel is still single-goroutine: the window loop guarantees that a
-// lane kernel is only touched by its worker during a parallel window and
-// only by the coordinating goroutine between windows.
+// horizon (RunBefore), and aligns lane clocks at barriers (AdvanceTo). All
+// three run entry points share one event loop (Kernel.loop). Each Kernel is
+// still single-goroutine: the window loop guarantees that a lane kernel is
+// only touched by its worker during a parallel window and only by the
+// coordinating goroutine between windows.
 
 // NextAt returns the firing time of the earliest pending event and whether
 // one exists.
@@ -25,29 +27,7 @@ func (k *Kernel) NextAt() (Time, bool) {
 // clock is left at the last executed event — never advanced to the horizon —
 // so a cross-window event scheduled later at exactly the horizon is still in
 // the future. Stop breaks the loop just as it does for Run.
-func (k *Kernel) RunBefore(horizon Time) uint64 {
-	k.stopped = false
-	start := k.fired
-	check := 0
-	for !k.stopped {
-		if k.interrupt != nil || k.progress != nil {
-			if check == 0 {
-				k.progress.Publish(k.now, k.fired)
-				if k.interrupt != nil && k.interrupt.Load() {
-					k.stopped = true
-					break
-				}
-				check = interruptStride
-			}
-			check--
-		}
-		if len(k.queue) == 0 || k.queue[0].at >= horizon {
-			break
-		}
-		k.Step()
-	}
-	return k.fired - start
-}
+func (k *Kernel) RunBefore(horizon Time) uint64 { return k.loop(horizon - 1) }
 
 // AdvanceTo moves the clock forward to t without executing anything.
 // Advancing past a pending event panics — that would reorder causality —

@@ -311,11 +311,8 @@ func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 	if !w.soa.alive[d.h] || d.sensorSt == nil {
 		return false
 	}
-	orig := d.sensorSt.Range()
-	d.sensorSt.SetRange(rangeM)
 	cost := d.model.TxCost(pkt.SizeBits(), rangeM)
 	if !w.soa.batteries[d.h].DrawTx(cost) {
-		d.sensorSt.SetRange(orig)
 		w.kill(d, CauseBattery)
 		return false
 	}
@@ -327,13 +324,14 @@ func (d *Device) SendRange(pkt *packet.Packet, rangeM float64) bool {
 			Origin: pkt.Origin, Seq: pkt.Seq, Value: int64(pkt.TTL),
 		})
 	}
-	w.sensorMedium.Transmit(d.sensorSt, pkt)
-	d.sensorSt.SetRange(orig)
+	w.sensorMedium.TransmitRange(d.sensorSt, pkt, rangeM)
 	return true
 }
 
 // SensorNeighbors returns the IDs of nodes currently within sensor-layer
 // radio range — the simulator's stand-in for HELLO-based neighbor discovery.
+// It copies the device's cached receiver list, which only the device's own
+// lane may touch, so call it from the device's own stack.
 func (d *Device) SensorNeighbors() []packet.NodeID {
 	if d.sensorSt == nil {
 		return nil

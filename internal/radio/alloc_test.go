@@ -11,7 +11,8 @@ import (
 // Steady-state cost of one transmit+deliver cycle to a single receiver:
 // nothing is allocated. The receiver gets the transmitted packet itself,
 // events come from the kernel pool, deliveries from the medium pool, the
-// receiver set from the scratch buffer, and no closure or Timer is created.
+// receiver set from the sender's cached list, and no closure or Timer is
+// created.
 func TestTransmitDeliverAllocsPinned(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := New(k, Config{BitRate: 250_000})

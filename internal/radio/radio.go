@@ -101,6 +101,12 @@ type Station struct {
 	// pending tracks receptions in flight, for the collision model;
 	// any two receptions whose airtimes overlap corrupt each other.
 	pending []*delivery
+	// nbrs caches the station's receivers: every other attached station
+	// within rangeM of pos, in ID order. It is current while nbrsEpoch
+	// equals medium.epoch, and only the station's own lane rebuilds it
+	// (receivers).
+	nbrs      []*Station
+	nbrsEpoch uint64
 }
 
 // ID returns the station's node ID.
@@ -112,12 +118,18 @@ func (s *Station) Pos() geom.Point { return s.pos }
 // Range returns the station's transmission range in meters.
 func (s *Station) Range() float64 { return s.rangeM }
 
-// SetRange adjusts transmission power (topology control, §4.4).
+// SetRange adjusts transmission power (topology control, §4.4). Only this
+// station's receivers depend on its range, so only its cached receiver list
+// is dropped. A single frame at another range goes through
+// Medium.TransmitRange instead, which leaves the list alone.
 func (s *Station) SetRange(r float64) {
 	if r < 0 {
 		r = 0
 	}
-	s.rangeM = r
+	if r != s.rangeM {
+		s.rangeM = r
+		s.nbrsEpoch = 0
+	}
 }
 
 // Listening reports whether the radio is awake.
@@ -171,10 +183,10 @@ type delivery struct {
 // deliveryBatch carries every reception completing at one instant from one
 // transmission. Scheduling the batch as a single kernel event replaces the
 // one-event-per-receiver pattern: a broadcast heard by d neighbors costs
-// one heap operation instead of d. Entries stay in ID-sorted receiver
-// order (inRangeInto sorts), so handler invocation order is identical to
-// the per-event schedule, whose same-timestamp events fired in the
-// consecutive sequence order they were created in.
+// one heap operation instead of d. Entries stay in the ID order of the
+// sender's receiver list, so handler invocation order is identical to the
+// per-event schedule, whose same-timestamp events fired in the consecutive
+// sequence order they were created in.
 type deliveryBatch struct {
 	entries []*delivery
 }
@@ -196,6 +208,10 @@ type Medium struct {
 	stations map[packet.NodeID]*Station
 	grid     *geom.GridIndex[*Station] // spatial index for receiver lookup
 	active   []activeTx                // in-flight transmissions (CSMA only)
+	// epoch numbers the medium's topology. Attach, Detach and Move bump it,
+	// which makes every cached receiver list stale; it starts at 1, so the
+	// zero nbrsEpoch of a new or re-ranged station is never current.
+	epoch uint64
 
 	lanes  []*laneCtx                            // at least one; lane i runs on lanes[i].k
 	laneOf func(packet.NodeID, geom.Point) int32 // station-to-lane rule; nil until EnableSharding
@@ -206,7 +222,7 @@ type Medium struct {
 // and count into its Stats. Delivery structs and batches are pooled on its
 // free lists and scheduled through the kernel's zero-alloc arg path via
 // deliverFn/deliverBatchFn (bound once per lane, so no per-delivery closure
-// exists); rxScratch is the reusable receiver buffer of transmit. A lane
+// exists); rxScratch is the buffer of every receiver lookup (inRange). A lane
 // owns all of this exclusively, so concurrent region workers never share
 // mutable radio state.
 type laneCtx struct {
@@ -238,6 +254,7 @@ func New(k *sim.Kernel, cfg Config) *Medium {
 		cfg:      cfg,
 		stations: make(map[packet.NodeID]*Station),
 		grid:     geom.NewGridIndex[*Station](cell),
+		epoch:    1,
 	}
 	m.lanes = []*laneCtx{m.newLane(k, 1)}
 	return m
@@ -352,6 +369,7 @@ func (m *Medium) Attach(id packet.NodeID, pos geom.Point, rangeM float64, handle
 	}
 	m.stations[id] = s
 	m.grid.Insert(s, pos)
+	m.epoch++
 	return s
 }
 
@@ -365,6 +383,7 @@ func (m *Medium) Detach(id packet.NodeID) {
 	m.grid.Remove(s, s.pos)
 	delete(m.stations, id)
 	s.handler = nil
+	m.epoch++
 }
 
 // Station returns the attachment for id, or nil.
@@ -373,35 +392,53 @@ func (m *Medium) Station(id packet.NodeID) *Station { return m.stations[id] }
 func (m *Medium) reindex(s *Station, p geom.Point) {
 	m.grid.Move(s, s.pos, p)
 	s.pos = p
+	m.epoch++
 }
 
-// InRange returns the stations within sender's range, excluding the sender
-// itself, in deterministic (ID-sorted) order.
-func (m *Medium) InRange(sender *Station) []*Station {
-	return m.inRangeInto(sender, nil)
-}
-
-// inRangeInto appends the in-range stations to out (the hot path passes a
-// reusable scratch buffer; InRange passes nil for a fresh slice). Range
-// changes need no reindexing: the station's current range bounds the grid
-// query window at lookup time.
-func (m *Medium) inRangeInto(sender *Station, out []*Station) []*Station {
-	if sender == nil || sender.rangeM <= 0 {
-		return out
+// receivers returns s's receiver list: the stations within s's range,
+// excluding s itself, in ID order. The list is cached on s and rebuilt
+// only when the medium's epoch or s's range has changed since, with one
+// lookup (inRange) and a copy into the list's own storage (reused when it
+// fits, else allocated anew).
+// lc must be s's lane, the only one that writes s's list: the epoch moves
+// only at barriers and in global phases, so lane workers merely read it.
+func (m *Medium) receivers(lc *laneCtx, s *Station) []*Station {
+	if s.nbrsEpoch == m.epoch {
+		return s.nbrs
 	}
-	base := len(out)
-	out = m.grid.AppendWithin(out, sender.pos, sender.rangeM, sender)
-	sortStations(out[base:])
-	return out
+	rx := m.inRange(lc, s, s.rangeM)
+	if cap(s.nbrs) < len(rx) {
+		s.nbrs = nil // append then sizes the new list to its allocation's size class
+	}
+	s.nbrs = append(s.nbrs[:0], rx...)
+	clear(s.nbrs[len(rx):cap(s.nbrs)]) // a shrunk list pins no departed station
+	s.nbrsEpoch = m.epoch
+	return s.nbrs
 }
 
-// Neighbors returns the IDs of stations within range of id.
+// inRange looks up, uncached, the stations within rangeM of s, excluding s
+// itself, in ID order: one grid query and a sort into lc's scratch buffer,
+// which the result aliases until lc's next lookup.
+func (m *Medium) inRange(lc *laneCtx, s *Station, rangeM float64) []*Station {
+	rx := lc.rxScratch[:0]
+	if rangeM > 0 {
+		rx = m.grid.AppendWithin(rx, s.pos, rangeM, s)
+		sortStations(rx)
+	}
+	lc.rxScratch = rx
+	return rx
+}
+
+// Neighbors returns the IDs of stations within range of id, ID-sorted,
+// copied out of id's cached receiver list. Serving it may rebuild that
+// list, which only the station's own lane writes, so call it only on id's
+// lane — as a device does when it asks for its own neighbors.
 func (m *Medium) Neighbors(id packet.NodeID) []packet.NodeID {
 	s := m.stations[id]
 	if s == nil {
 		return nil
 	}
-	in := m.InRange(s)
+	in := m.receivers(m.lanes[s.lane], s)
 	out := make([]packet.NodeID, len(in))
 	for i, st := range in {
 		out[i] = st.id
@@ -431,14 +468,36 @@ func sortStations(ss []*Station) {
 // With CSMA enabled, a busy channel defers the transmission by a random
 // backoff (retried up to MaxBackoffs times before the packet is abandoned).
 func (m *Medium) Transmit(from *Station, pkt *packet.Packet) {
+	m.send(from, pkt, ownRange)
+}
+
+// TransmitRange broadcasts pkt like Transmit, but at rangeM (clamped at 0)
+// instead of the station's own range, for this frame only — a temporarily
+// boosted or reduced transmission power. The receivers come from an
+// uncached lookup, and the station's cached receiver list, which holds its
+// own range's receivers, is neither read nor replaced: a protocol that
+// boosts every data frame (LEACH, PEGASIS, Direct) pays one grid query and
+// sort per frame and keeps no list of the boosted set. A frame deferred by
+// carrier sense keeps its range.
+func (m *Medium) TransmitRange(from *Station, pkt *packet.Packet, rangeM float64) {
+	m.send(from, pkt, max(rangeM, 0))
+}
+
+// ownRange as a frame's range selects the sender's own range and its
+// cached receiver list.
+const ownRange = -1
+
+// send puts pkt on the air from from at rangeM (or ownRange), through
+// carrier sense when it is enabled.
+func (m *Medium) send(from *Station, pkt *packet.Packet, rangeM float64) {
 	if from == nil {
 		return
 	}
 	if m.cfg.CSMA {
-		m.transmitCSMA(from, pkt, 0)
+		m.transmitCSMA(from, pkt, rangeM, 0)
 		return
 	}
-	m.transmit(from, pkt)
+	m.transmit(from, pkt, rangeM)
 }
 
 // carrierBusy reports whether st can hear an in-flight transmission at now.
@@ -461,7 +520,7 @@ func (m *Medium) carrierBusy(st *Station, now sim.Time) bool {
 // transmitCSMA is the carrier-sense path. Like the collision model it needs
 // a global view of the channel, so it runs only on a one-lane medium
 // (EnableSharding refuses both), where the sender's lane is lane 0.
-func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
+func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, rangeM float64, attempt int) {
 	if from.handler == nil && m.stations[from.id] == nil {
 		return // detached while backing off
 	}
@@ -483,10 +542,10 @@ func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
 		lc.stats.Backoffs++
 		m.report(metrics.RadioBackoffs, 1)
 		delay := 1 + sim.Duration(lc.k.Rand().Int63n(int64(window)))
-		lc.k.After(delay, func() { m.transmitCSMA(from, pkt, attempt+1) })
+		lc.k.After(delay, func() { m.transmitCSMA(from, pkt, rangeM, attempt+1) })
 		return
 	}
-	m.transmit(from, pkt)
+	m.transmit(from, pkt, rangeM)
 }
 
 // transmit puts pkt on the air from the sender's lane. It runs on that
@@ -499,7 +558,8 @@ func (m *Medium) transmitCSMA(from *Station, pkt *packet.Packet, attempt int) {
 // operation instead of d. Receivers on another lane are staged in the
 // outbox unchecked: their checks belong to the destination lane and run
 // when DrainOutboxes adopts them. A one-lane medium never stages anything.
-func (m *Medium) transmit(from *Station, pkt *packet.Packet) {
+// rangeM is the frame's range, or ownRange for the sender's cached list.
+func (m *Medium) transmit(from *Station, pkt *packet.Packet, rangeM float64) {
 	lc := m.lanes[from.lane]
 	size := uint64(pkt.Size())
 	lc.stats.Transmissions++
@@ -509,12 +569,17 @@ func (m *Medium) transmit(from *Station, pkt *packet.Packet) {
 	airtime := m.Airtime(pkt.Size())
 	start := lc.k.Now()
 	end := start + airtime + m.cfg.PropDelay
-	if m.cfg.CSMA {
-		m.active = append(m.active, activeTx{pos: from.pos, rangeM: from.rangeM, end: start + airtime})
+	var rx []*Station
+	if rangeM == ownRange {
+		rangeM, rx = from.rangeM, m.receivers(lc, from)
+	} else {
+		rx = m.inRange(lc, from, rangeM)
 	}
-	lc.rxScratch = m.inRangeInto(from, lc.rxScratch[:0])
+	if m.cfg.CSMA {
+		m.active = append(m.active, activeTx{pos: from.pos, rangeM: rangeM, end: start + airtime})
+	}
 	var batch *deliveryBatch
-	for _, st := range lc.rxScratch {
+	for _, st := range rx {
 		if st.lane != from.lane {
 			lc.outbox[st.lane] = append(lc.outbox[st.lane],
 				remoteDelivery{to: st, pkt: pkt, start: start, end: end})

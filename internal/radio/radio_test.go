@@ -230,7 +230,7 @@ func TestMoveAcrossCells(t *testing.T) {
 	s2 := m.Attach(2, geom.Point{X: 5}, 500, nil)
 	for i := 0; i < 50; i++ {
 		s2.Move(geom.Point{X: float64(i * 7), Y: float64(i * 3)})
-		nbrs := m.InRange(s1)
+		nbrs := m.receivers(m.lanes[0], s1)
 		if len(nbrs) != 1 || nbrs[0].id != 2 {
 			t.Fatalf("after move %d neighbors=%v", i, nbrs)
 		}
@@ -352,7 +352,7 @@ func TestQuickSpatialIndexMatchesBruteForce(t *testing.T) {
 		}
 		sender := m.Station(0)
 		got := map[packet.NodeID]bool{}
-		for _, s := range m.InRange(sender) {
+		for _, s := range m.receivers(m.lanes[0], sender) {
 			got[s.id] = true
 		}
 		for id, s := range m.stations {

@@ -33,11 +33,14 @@ type remoteDelivery struct {
 // EnableSharding splits the medium into one lane per kernel: kernels[i]
 // drives lane i, and laneOf assigns every subsequently attached station to
 // its owning lane (existing stations are reassigned in place). Lane 0 keeps
-// the storage of the medium's original lane, so a run arena adopted before
-// the split still serves it. The MAC-level channel models that require a
-// global view of the medium — CSMA carrier sense and the collision model —
-// are incompatible with regional execution, as is tracing; both panic here
-// rather than silently racing.
+// the medium's original lane, and the pooled deliveries and batches it
+// holds (a run arena adopted before the split) are shared out among the
+// lanes. A lane recycles only into its own free lists, so a lane that
+// started empty would hand its fresh allocations to the arena at harvest,
+// and the arena would grow with every sharded run. The MAC-level channel
+// models that require a global view of the medium — CSMA carrier sense and
+// the collision model — are incompatible with regional execution, as is
+// tracing; both panic here rather than silently racing.
 func (m *Medium) EnableSharding(kernels []*sim.Kernel, laneOf func(packet.NodeID, geom.Point) int32) {
 	if m.laneOf != nil {
 		panic("radio: sharding enabled twice")
@@ -55,10 +58,23 @@ func (m *Medium) EnableSharding(kernels []*sim.Kernel, laneOf func(packet.NodeID
 	for _, k := range kernels[1:] {
 		lanes = append(lanes, m.newLane(k, n))
 	}
+	del, batches := lanes[0].freeDel, lanes[0].freeBatch
+	for i, lc := range lanes {
+		lc.freeDel = share(del, i, n)
+		lc.freeBatch = share(batches, i, n)
+	}
 	m.lanes = lanes
 	for _, st := range m.stations {
 		st.lane = laneOf(st.id, st.pos)
 	}
+}
+
+// share returns part i of n near-equal parts of free, lane 0 taking the
+// remainder. Each part is capped at its own length, so a lane's appends
+// reallocate instead of overwriting the next lane's part.
+func share[T any](free []T, i, n int) []T {
+	lo, hi := len(free)-len(free)*(n-i)/n, len(free)-len(free)*(n-i-1)/n
+	return free[lo:hi:hi]
 }
 
 // Deafen stops a station from receiving — handler cleared, not removed from

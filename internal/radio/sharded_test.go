@@ -75,3 +75,36 @@ func TestHarvestPoolCollectsEveryLane(t *testing.T) {
 		t.Fatal("harvest collected no delivery batches")
 	}
 }
+
+// A run arena cycled through sharded runs stays bounded: EnableSharding
+// lends lane 0's adopted storage to every lane, so a harvest returns what
+// the lanes used rather than the loan plus each lane's fresh allocations.
+func TestShardedArenaStaysBounded(t *testing.T) {
+	var p Pool
+	sizes := make([]int, 0, 8)
+	for cycle := 0; cycle < 8; cycle++ {
+		kernels := []*sim.Kernel{sim.NewKernel(1), sim.NewKernel(2)}
+		m := New(kernels[0], SensorRadio())
+		m.AdoptPool(&p)
+		m.EnableSharding(kernels, splitAt20)
+		var senders []*Station
+		for i, x := range []float64{0, 5, 10, 25, 30, 35} {
+			senders = append(senders, m.Attach(packet.NodeID(i+1), geom.Point{X: x}, 50, func(*packet.Packet) {}))
+		}
+		for _, s := range senders {
+			m.Transmit(s, testPkt(s.id))
+		}
+		kernels[0].RunAll()
+		kernels[1].RunAll()
+		m.DrainOutboxes()
+		kernels[0].RunAll()
+		kernels[1].RunAll()
+		m.HarvestPool(&p)
+		sizes = append(sizes, len(p.del)+len(p.batches))
+	}
+	for _, n := range sizes[2:] {
+		if n != sizes[1] {
+			t.Fatalf("pooled deliveries+batches per cycle %v: the arena grows with every sharded run", sizes)
+		}
+	}
+}

@@ -45,10 +45,10 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 func runContext(ctx context.Context, cfg Config) (Result, error) {
 	// A sharded world's region kernels allocate their own events; its world
 	// kernel and every radio lane still draw from, and return to, the arena.
-	ar := arenas.Get().(*runArena)
+	ar := arenas.get()
 	n, err := buildE(cfg, ar)
 	if err != nil {
-		arenas.Put(ar)
+		arenas.put(ar)
 		return Result{}, err
 	}
 	var stop func() bool
@@ -62,7 +62,7 @@ func runContext(ctx context.Context, cfg Config) (Result, error) {
 		stop()
 	}
 	n.World.ReleasePools()
-	arenas.Put(ar)
+	arenas.put(ar)
 	if err := ctx.Err(); err != nil {
 		// The world stopped mid-run; its summary is partial and misleading,
 		// so report only the cancellation.

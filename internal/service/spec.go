@@ -12,6 +12,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"wmsn/internal/core"
@@ -164,29 +165,46 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-func secs(s float64) sim.Duration { return sim.Duration(s * float64(sim.Second)) }
+func secs(s float64) sim.Duration { return sim.Duration(saturate(s, float64(sim.Second))) }
+
+// wallSecs converts wire seconds of wall-clock time to a time.Duration.
+func wallSecs(s float64) time.Duration { return time.Duration(saturate(s, float64(time.Second))) }
+
+// saturate scales s by unit into an int64, clamping at the int64 range: an
+// oversized value stays oversized, and so fails the limit checks, instead
+// of wrapping to a negative duration that slips past them.
+func saturate(s, unit float64) int64 {
+	switch v := s * unit; {
+	case v >= math.MaxInt64:
+		return math.MaxInt64
+	case v <= math.MinInt64:
+		return math.MinInt64
+	default:
+		return int64(v)
+	}
+}
 
 // config converts the wire spec into a scenario.Config.
 func (s RunSpec) config() (scenario.Config, error) {
 	cfg := scenario.Config{
-		Seed:             s.Seed,
-		Protocol:         protocol.ID(s.Protocol),
-		NumSensors:       s.NumSensors,
-		Side:             s.Side,
-		SensorRange:      s.SensorRange,
-		NumGateways:      s.NumGateways,
-		Rounds:           s.Rounds,
-		RoundLen:         secs(s.RoundLenS),
-		ReportInterval:   secs(s.ReportIntervalS),
-		PayloadSize:      s.PayloadSize,
-		Warmup:           secs(s.WarmupS),
-		RunFor:           secs(s.RunForS),
-		StopAtFirstDeath: s.StopAtFirstDeath,
-		Shards:           s.Shards,
-		LossRate:         s.LossRate,
-		Collisions:       s.Collisions,
-		CSMA:             s.CSMA,
-		LEACHProb:        s.LEACHProb,
+		Seed:              s.Seed,
+		Protocol:          protocol.ID(s.Protocol),
+		NumSensors:        s.NumSensors,
+		Side:              s.Side,
+		SensorRange:       s.SensorRange,
+		NumGateways:       s.NumGateways,
+		Rounds:            s.Rounds,
+		RoundLen:          secs(s.RoundLenS),
+		ReportInterval:    secs(s.ReportIntervalS),
+		PayloadSize:       s.PayloadSize,
+		Warmup:            secs(s.WarmupS),
+		RunFor:            secs(s.RunForS),
+		StopAtFirstDeath:  s.StopAtFirstDeath,
+		Shards:            s.Shards,
+		LossRate:          s.LossRate,
+		Collisions:        s.Collisions,
+		CSMA:              s.CSMA,
+		LEACHProb:         s.LEACHProb,
 		NoShortcutAnswers: s.NoShortcutAnswers,
 	}
 	if s.LinkRetries > 0 {
@@ -300,7 +318,7 @@ func (r RunRequest) expand(l Limits) (jobOptions, error) {
 	if r.DeadlineS < 0 {
 		errs = append(errs, fmt.Errorf("deadline_s %g is negative", r.DeadlineS))
 	}
-	o.deadline = time.Duration(r.DeadlineS * float64(time.Second))
+	o.deadline = wallSecs(r.DeadlineS)
 	if o.deadline == 0 {
 		o.deadline = l.DefaultDeadline
 	}
@@ -313,7 +331,7 @@ func (r RunRequest) expand(l Limits) (jobOptions, error) {
 	if r.ProgressS < 0 {
 		errs = append(errs, fmt.Errorf("progress_s %g is negative", r.ProgressS))
 	}
-	o.progress = time.Duration(r.ProgressS * float64(time.Second))
+	o.progress = wallSecs(r.ProgressS)
 	if err := errors.Join(errs...); err != nil {
 		return jobOptions{}, err
 	}
